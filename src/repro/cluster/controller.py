@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.disk.disk import DiskModel, make_xp32150_disk
+from repro.disk.raid import Raid5Array
 from repro.faults import FaultPlan
 from repro.serve.admission import ReservationAdmission
 from repro.serve.adapter import RampEvent
@@ -42,6 +43,10 @@ from .migration import (
     select_victims,
 )
 from .placement import make_placement
+
+#: Member disks per array: the paper's five-disk RAID-5 stripe.  Fault
+#: plans address disks ``0..ARRAY_DISKS-1`` of their array.
+ARRAY_DISKS = Raid5Array().disks
 
 #: Decision-log kinds, in the vocabulary of the golden cluster trace.
 DECISION_KINDS = (
@@ -172,6 +177,17 @@ class ClusterController:
                  incremental: bool = True) -> None:
         self.config = config
         self.fault_plans = dict(fault_plans or {})
+        for array_id, plan in self.fault_plans.items():
+            if not 0 <= array_id < config.arrays:
+                raise ValueError(
+                    f"fault plan for array {array_id}, but the fleet has "
+                    f"arrays 0..{config.arrays - 1}")
+            for fault in plan:
+                if not 0 <= fault.disk < ARRAY_DISKS:
+                    raise ValueError(
+                        f"fault plan for array {array_id} addresses disk "
+                        f"{fault.disk}, outside the {ARRAY_DISKS}-disk "
+                        "stripe")
         self.disk = disk if disk is not None else make_xp32150_disk()
         array_ids = list(range(config.arrays))
         self.placement = make_placement(

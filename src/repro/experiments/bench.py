@@ -29,8 +29,7 @@ regressing by more than 25% is a failure); ``--quick`` runs a CI-sized
 instance.
 
 The ``parallel`` section covers :mod:`repro.parallel`: the process
-fan-out sweep must be bit-identical to serial at any worker count, the
-member-parallel array run must reproduce the serial metrics exactly,
+fan-out sweep must be bit-identical to serial at any worker count,
 and a warm persistent-LUT load must beat re-enumeration by >=10x.  The
 multi-worker *speedup* is only gated when the machine actually has
 four or more cores -- on smaller hosts it is recorded with the core
@@ -98,8 +97,6 @@ class BenchSpec:
     sweep_requests: int = 1_500
     #: Worker count of the timed parallel sweep arm.
     sweep_jobs: int = 4
-    #: Logical requests of the member-parallel array comparison.
-    array_requests: int = 300
     #: Grid dims of the persistent-LUT cache probe (16 levels); big
     #: enough that enumeration visibly dominates a warm load.
     cache_lut_dims: int = 4
@@ -126,7 +123,6 @@ class BenchSpec:
             sim_requests=600,
             repeats=2,
             sweep_requests=500,
-            array_requests=150,
             cache_lut_dims=3,
             cluster_arrays=(16, 32),
             cluster_users_per_array=150,
@@ -677,27 +673,21 @@ def bench_store(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
 
 
 def bench_parallel(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
-    """The three tiers of ``repro.parallel``, each against serial.
+    """The two tiers of ``repro.parallel``, each against serial.
 
     * **sweep** -- a fig5-shaped (scheduler x curve x fraction) grid run
       serially and with ``spec.sweep_jobs`` worker processes; results
       must be bit-identical (the determinism contract), and the fan-out
       must reach a 2x speedup -- gated only on hosts with >= 4 cores,
       recorded (with the core count) everywhere else.
-    * **array** -- one RAID-5 run under a mixed fault plan with
-      ``member_jobs=2`` against the serial engine; every logical and
-      per-member metric must match exactly.
     * **lut_cache** -- cold enumeration of a 16-level diagonal grid into
       a temporary persistent cache vs a warm load from it; the load
       must be >= 10x faster and must register as a cache hit.
     """
     import tempfile
 
-    from repro.faults import (DiskFailure, FaultPlan, LatencySpike,
-                              RetryPolicy, TransientErrors)
-    from repro.parallel import (ArrayCellSpec, ArrayWorkload, CellSpec,
-                                baseline, cascaded, metrics_fingerprint,
-                                run_array_cell, run_cell, run_cells)
+    from repro.parallel import (CellSpec, baseline, cascaded,
+                                metrics_fingerprint, run_cell, run_cells)
     from repro.sfc import lut_cache
 
     cores = os.cpu_count() or 1
@@ -714,9 +704,8 @@ def bench_parallel(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
     )
     # Cells pin the legacy engine: the tier under test is the process
     # fan-out, and its speedup gate was calibrated on legacy-cost
-    # cells -- an ambient REPRO_SIM_ENGINE=batched (the CLI default)
-    # would shrink per-cell work until pool overhead dominates the
-    # ratio.
+    # cells -- the batched default would shrink per-cell work until
+    # pool overhead dominates the ratio.
     cells = [CellSpec(label=("fifo",), workload=workload, seed=spec.seed,
                       scheduler=baseline("fcfs"),
                       service=("constant", 8.0), priority_levels=8,
@@ -756,51 +745,7 @@ def bench_parallel(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
         "speedup_gated": cores >= 4,
     })
 
-    # -- tier 2: member-parallel array execution ---------------------------
-    plan = FaultPlan([
-        DiskFailure(disk=1, start_ms=150.0, end_ms=400.0),
-        TransientErrors(disk=3, start_ms=100.0, end_ms=600.0,
-                        probability=0.25),
-        LatencySpike(disk=0, start_ms=0.0, end_ms=300.0, extra_ms=4.0),
-    ], seed=spec.seed)
-    # Engine pinned to legacy on both arms: this tier times the
-    # thread-windowed member engine against the serial loop, which an
-    # ambient REPRO_SIM_ENGINE=batched (the CLI default) would
-    # otherwise silently replace with the batched array engine.
-    array_cell = ArrayCellSpec(
-        label=("array",),
-        workload=ArrayWorkload(count=spec.array_requests),
-        seed=spec.seed,
-        scheduler=baseline("scan", priority_levels=4),
-        priority_levels=4,
-        fault_plan=plan,
-        retry_policy=RetryPolicy(),
-        engine="legacy",
-    )
-    array_serial_s, array_serial = _best_of(
-        lambda: run_array_cell(array_cell), 1)
-    array_member_s, array_member = _best_of(
-        lambda: run_array_cell(replace(array_cell, member_jobs=2)), 1)
-
-    def array_fingerprint(result) -> tuple:
-        return (metrics_fingerprint(result.logical_metrics),
-                result.physical_ops, result.retries,
-                result.failed_logical, result.member_fingerprints)
-
-    invariants["parallel.array.same_metrics"] = (
-        array_fingerprint(array_serial) == array_fingerprint(array_member)
-    )
-    section["rows"].append({
-        "label": "array", "requests": spec.array_requests,
-        "physical_ops": array_serial.physical_ops,
-        "retries": array_serial.retries,
-        "serial_s": array_serial_s, "member2_s": array_member_s,
-        # Lane advancement is GIL-bound: tracked, not gated.
-        "speedup": (array_serial_s / array_member_s
-                    if array_member_s > 0 else float("inf")),
-    })
-
-    # -- tier 3: persistent LUT cache --------------------------------------
+    # -- tier 2: persistent LUT cache --------------------------------------
     curve = get_curve("diagonal", spec.cache_lut_dims, 16)
     loads0 = LUT_STATS.disk_loads
     previous_cache = lut_cache.configured()
@@ -979,7 +924,7 @@ def bench_cluster_scale(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
         # legacy event loop (the batched serving tier postdates it,
         # and the full-scan poll patched in below bypasses the due
         # heap the batched spans read), the current path is the
-        # batched engine -- regardless of ``$REPRO_SIM_ENGINE``.
+        # batched engine.
         engine = "batched" if incremental else "legacy"
         controller = ClusterController(make_config(demo_spec),
                                        demo_plans,

@@ -9,19 +9,16 @@ Usage::
     python -m repro.experiments bench [--quick] [--out FILE]
     python -m repro.experiments obs [--quick] [--out-dir DIR]
     python -m repro.experiments cluster [--quick] [--jobs N]
+    python -m repro.experiments history list|show|replay|diff
 
-Every simulation-running subcommand accepts ``--engine
-{legacy,batched}``.  CLI runs default to the batched SoA engine
-(bit-identical results, several times faster); an explicit ``--engine``
-wins over ``$REPRO_SIM_ENGINE``, which wins over the default.  The
-library default for :func:`repro.sim.run_simulation` remains legacy.
+Bad input (a ``ValueError`` from a spec, a ``StoreError`` from the run
+store) prints one ``error: ...`` line on stderr and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 import time
 from typing import Callable
@@ -308,30 +305,22 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.",
     )
-    # Shared by every simulation-running subcommand.  CLI runs default
-    # to the batched SoA engine (bit-identical to legacy, several times
-    # faster); precedence is --engine > $REPRO_SIM_ENGINE > batched.
-    # Library callers of run_simulation are unaffected (their default
-    # stays legacy unless the environment says otherwise).
-    engine_parent = argparse.ArgumentParser(add_help=False)
-    engine_parent.add_argument(
-        "--engine", choices=("legacy", "batched"), default=None,
-        help="simulation engine (default: $REPRO_SIM_ENGINE, "
-             "else batched; results are bit-identical)")
-    # Recording is opt-in per run (--record), implied by an explicit
-    # --store PATH, or ambient for a whole session ($REPRO_STORE).
-    engine_parent.add_argument(
+    # Shared by every recordable subcommand.  Recording is opt-in per
+    # run (--record), implied by an explicit --store PATH, or ambient
+    # for a whole session ($REPRO_STORE).
+    record_parent = argparse.ArgumentParser(add_help=False)
+    record_parent.add_argument(
         "--record", action="store_true",
         help="record this run's provenance (config, trace, report, "
              "observability payloads) into the run store")
-    engine_parent.add_argument(
+    record_parent.add_argument(
         "--store", metavar="PATH", default=None,
         help="run-store file (implies --record; default: "
              "$REPRO_STORE, else results/runs.sqlite)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list available experiments")
     runner = sub.add_parser("run", help="run one experiment (or 'all')",
-                            parents=[engine_parent])
+                            parents=[record_parent])
     runner.add_argument("name", choices=sorted(EXPERIMENTS) + ["all"])
     runner.add_argument("--quick", action="store_true",
                         help="benchmark-sized instance")
@@ -343,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
                              "bit-identical at any N)")
     server = sub.add_parser(
         "serve", help="online serving-layer ramp demo (repro.serve)",
-        parents=[engine_parent],
+        parents=[record_parent],
     )
     server.add_argument("--quick", action="store_true",
                         help="short ramp (same saturation point)")
@@ -363,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     faults = sub.add_parser(
         "faults",
         help="schedulers under an identical fault schedule (repro.faults)",
-        parents=[engine_parent],
+        parents=[record_parent],
     )
     faults.add_argument("--quick", action="store_true",
                         help="benchmark-sized run (same fault acts)")
@@ -376,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     benchp = sub.add_parser(
         "bench",
         help="hot-path benchmark baseline with safety invariants",
-        parents=[engine_parent],
+        parents=[record_parent],
     )
     benchp.add_argument("--quick", action="store_true",
                         help="CI-sized run (same invariants)")
@@ -387,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     obsp = sub.add_parser(
         "obs",
         help="observed serve ramp: lifecycle spans, metrics, profiling",
-        parents=[engine_parent],
+        parents=[record_parent],
     )
     obsp.add_argument("--quick", action="store_true",
                       help="CI-sized ramp (same validation)")
@@ -397,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     clusterp = sub.add_parser(
         "cluster",
         help="fleet of arrays: placement, global admission, migration",
-        parents=[engine_parent],
+        parents=[record_parent],
     )
     clusterp.add_argument("--quick", action="store_true",
                           help="4-array CI scenario (MPEG profile, one "
@@ -467,17 +456,16 @@ def main(argv: list[str] | None = None) -> int:
     # process use and for main(argv) callers like the tests).
     args.argv_ = tuple(sys.argv[1:] if argv is None else argv)
 
-    # Engine precedence for CLI runs: --engine > $REPRO_SIM_ENGINE >
-    # batched.  Routed through the environment so worker processes
-    # (--jobs N) inherit the choice; sections that pin an engine
-    # explicitly (the bench before/after arms) still win, because
-    # resolve_engine prefers an explicit argument over the environment.
-    engine = getattr(args, "engine", None)
-    if engine is not None:
-        os.environ["REPRO_SIM_ENGINE"] = engine
-    else:
-        os.environ.setdefault("REPRO_SIM_ENGINE", "batched")
+    from repro.store import StoreError
+    try:
+        return _dispatch(args)
+    except (ValueError, StoreError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args) -> int:
+    """Run the parsed subcommand; returns its exit code."""
     # Amortize curve-LUT builds across experiment runs: enable the
     # repo-local persistent cache unless the user already configured
     # the tier (explicitly or via environment).

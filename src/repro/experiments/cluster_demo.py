@@ -80,10 +80,18 @@ class ClusterSpec:
     #: fleet fingerprints (the --jobs bit-identity proof).
     selfcheck: bool = False
     #: Serving engine of the per-array cells ("legacy" | "batched");
-    #: None defers to ``$REPRO_SIM_ENGINE``.  Fleet fingerprints are
-    #: bit-identical either way; pin it when the *timing* of a
-    #: specific engine is the point (the bench does).
+    #: None runs the default (batched).  Fleet fingerprints are
+    #: bit-identical either way; pin "legacy" to run the oracle.
     engine: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.arrays < 1:
+            raise ValueError(f"arrays must be >= 1, got {self.arrays}")
+        if (self.failure_array is not None
+                and not 0 <= self.failure_array < self.arrays):
+            raise ValueError(
+                f"failure_array {self.failure_array} is not one of the "
+                f"fleet's arrays 0..{self.arrays - 1}")
 
     def quick(self) -> "ClusterSpec":
         """4 arrays, MPEG-1 profile, one failure — the CI scenario."""

@@ -10,13 +10,18 @@ canonical trace bytes, report, and observability payloads into a
   label/date;
 * ``history show <run>`` — full provenance of one run;
 * ``history replay <run>`` — re-executes from the stored config +
-  seeds with the *recorded* engine pinned, and asserts byte-identity
-  of the regenerated trace against the stored one (exit 1 on
-  divergence, and on a tampered/corrupt entry, which is detected from
-  the fingerprint before anything re-executes);
+  seeds on the default (batched) engine, and asserts byte-identity of
+  the regenerated trace against the stored one (exit 1 on divergence,
+  and on a tampered/corrupt entry, which is detected from the
+  fingerprint before anything re-executes).  A run recorded on the
+  legacy engine therefore replays as a cross-engine byte check;
 * ``history diff <a> <b>`` — config, QoS, per-phase latency
   percentile, and outcome-counter deltas (``--bench``: the committed
   baseline speedup trajectory instead).
+
+``list``, ``show``, ``replay`` and plain ``diff`` open the store
+read-only and never write; only ``diff --bench`` opens it for writing,
+to import the committed ``BENCH_PR<n>.json`` baselines.
 
 The replay contract per kind (what the trace bytes are):
 
@@ -37,16 +42,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import sys
 import time
-from contextlib import contextmanager
 from typing import Callable
 
+from repro.sim.server import resolve_engine
 from repro.store import (
     RunRecord,
     RunStore,
+    SqliteRunStore,
     StoredRun,
-    StoreError,
     bench_trajectory,
     diff_runs,
     fingerprint_of,
@@ -54,39 +58,14 @@ from repro.store import (
     render_diff,
 )
 
-ENGINE_ENV = "REPRO_SIM_ENGINE"
-
 
 def _silent(*args, **kwargs) -> None:
     return None
 
 
-@contextmanager
-def pinned_engine(engine: str | None):
-    """Run with ``$REPRO_SIM_ENGINE`` forced to the recorded engine.
-
-    Replay must reproduce the run *as recorded*: a run captured under
-    ``engine=legacy`` re-executes legacy even when the ambient CLI
-    default has moved on to batched.  ``None`` (nothing recorded)
-    leaves the environment alone.
-    """
-    if engine is None:
-        yield
-        return
-    previous = os.environ.get(ENGINE_ENV)
-    os.environ[ENGINE_ENV] = engine
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(ENGINE_ENV, None)
-        else:
-            os.environ[ENGINE_ENV] = previous
-
-
-def current_engine() -> str | None:
-    """The engine a run executed under (the CLI stamps the env)."""
-    return os.environ.get(ENGINE_ENV)
+def current_engine(engine: str | None = None) -> str:
+    """The engine a run executed on: ``engine`` or the default."""
+    return resolve_engine(engine)
 
 
 # -- store resolution -------------------------------------------------------
@@ -156,7 +135,7 @@ def record_serve(store: RunStore, spec, result, *, argv=(),
         kind="serve",
         config=dataclasses.asdict(spec),
         trace=serve_trace(result),
-        engine=current_engine(),
+        engine=current_engine(spec.engine),
         scheduler=spec.scheduler,
         seed=spec.seed,
         quick=quick,
@@ -216,7 +195,7 @@ def record_obs(store: RunStore, spec, result, *, argv=(),
         kind="obs",
         config=dataclasses.asdict(spec),
         trace=obs_trace(result),
-        engine=current_engine(),
+        engine=current_engine(spec.serve.engine),
         scheduler=spec.serve.scheduler,
         seed=spec.serve.seed,
         quick=quick,
@@ -238,7 +217,7 @@ def record_cluster(store: RunStore, spec, result, *, argv=(),
         kind="cluster",
         config=dataclasses.asdict(spec),
         trace=cluster_trace(result.report),
-        engine=current_engine(),
+        engine=current_engine(spec.engine),
         scheduler=spec.scheduler,
         seed=spec.seed,
         quick=quick,
@@ -311,7 +290,8 @@ def import_bench_baselines(store: RunStore,
 
 def _rebuild_serve_spec(config: dict):
     from .serve_demo import ServeSpec
-    return ServeSpec(**config)
+    # Replay runs the default engine whatever the recorded one was.
+    return ServeSpec(**{**config, "engine": None})
 
 
 def _reexecute_serve(run: StoredRun) -> bytes:
@@ -359,6 +339,7 @@ def _reexecute_cluster(run: StoredRun) -> bytes:
     # proved it) lets replay run serial without re-proving it.
     config["jobs"] = None
     config["selfcheck"] = False
+    config["engine"] = None
     result = cluster_demo.run(cluster_demo.ClusterSpec(**config))
     return cluster_trace(result.report)
 
@@ -393,8 +374,7 @@ def replay(run: StoredRun, out=print) -> int:
         out(f"run {run.run_id}: no replayer for kind '{run.kind}'")
         return 1
     started = time.perf_counter()
-    with pinned_engine(run.engine):
-        trace = reexecute(run)
+    trace = reexecute(run)
     elapsed = time.perf_counter() - started
     if trace == run.trace:
         out(f"run {run.run_id} ({run.kind}, engine={run.engine}): "
@@ -500,27 +480,26 @@ def history_diff(store: RunStore, args, out=print) -> int:
 
 
 def run_history(args, out=print) -> int:
-    """Dispatch one ``history`` subcommand; returns the exit code."""
+    """Dispatch one ``history`` subcommand; returns the exit code.
+
+    Store errors (missing or foreign file, unknown run) propagate to
+    the CLI, which prints them as one ``error:`` line.
+    """
     from .common import default_store_path, ensure_parent
     path = args.store or default_store_path()
-    try:
+    handler = {
+        "list": history_list,
+        "show": history_show,
+        "replay": history_replay,
+        "diff": history_diff,
+    }[args.history_command]
+    if args.history_command == "diff" and args.bench:
         store = open_store(ensure_parent(path))
-    except StoreError as exc:
-        out(f"error: {exc}")
-        return 1
-    with store:
         imported = import_bench_baselines(store)
         if imported:
             out(f"imported {len(imported)} committed bench baseline(s): "
                 f"{', '.join(imported)}")
-        try:
-            handler = {
-                "list": history_list,
-                "show": history_show,
-                "replay": history_replay,
-                "diff": history_diff,
-            }[args.history_command]
-            return handler(store, args, out)
-        except StoreError as exc:
-            out(f"error: {exc}")
-            return 1
+    else:
+        store = SqliteRunStore(path, read_only=True)
+    with store:
+        return handler(store, args, out)

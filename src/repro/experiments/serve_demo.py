@@ -63,10 +63,9 @@ class ServeSpec:
     write_fraction: float = 0.25
     seed: int = 2004
     report_every_ms: float | None = None
-    #: Serving engine ("legacy" | "batched"); None defers to
-    #: ``$REPRO_SIM_ENGINE`` exactly like ``StreamingServer``.  Traces
-    #: are bit-identical either way; pin it when the *timing* of a
-    #: specific engine is the point (the bench does).
+    #: Serving engine ("legacy" | "batched"); None runs the default
+    #: (batched).  Traces are bit-identical either way; pin "legacy"
+    #: to run the oracle.
     engine: str | None = None
 
     def quick(self) -> "ServeSpec":

@@ -21,7 +21,9 @@ end-to-end overhead stays under 2%.
 Time plumbing: the dispatcher layer is deliberately clock-free, so
 time-aware callers (the scheduler, the serving loop) stamp
 :attr:`Observer.now_ms` before delegating; dispatcher-facing hooks
-(:meth:`on_enqueue`, :meth:`on_promote`, ...) use that stamp.
+(:meth:`on_enqueue`, :meth:`on_promote`, ...) use that stamp.  The
+dispatcher's annotations (promote, preempt-insert, window) attach to a
+request's open span and never reopen a closed one.
 """
 
 from __future__ import annotations
@@ -182,14 +184,14 @@ class Observer:
 
     def on_preempt_insert(self, request, window: float) -> None:
         """Arrival preempted the service round (beat ``v_c`` by > w)."""
-        self.spans.record(request.request_id, self.now_ms,
-                          PHASE_PREEMPT_INSERT,
-                          detail={"window": window})
+        self.spans.annotate(request.request_id, self.now_ms,
+                            PHASE_PREEMPT_INSERT,
+                            detail={"window": window})
 
     def on_promote(self, request_id: int, vc: float) -> None:
         """SP policy lifted a request from ``q'`` into ``q``."""
-        self.spans.record(request_id, self.now_ms, PHASE_PROMOTE,
-                          detail={"vc": vc})
+        self.spans.annotate(request_id, self.now_ms, PHASE_PROMOTE,
+                            detail={"vc": vc})
 
     def on_window(self, request_id: int, window: float,
                   action: str) -> None:
@@ -200,9 +202,9 @@ class Observer:
             f"dispatcher_window_{action}_total",
             f"ER window {action}s").inc()
         if request_id >= 0:
-            self.spans.record(request_id, self.now_ms, PHASE_WINDOW,
-                              detail={"window": window,
-                                      "action": action})
+            self.spans.annotate(request_id, self.now_ms, PHASE_WINDOW,
+                                detail={"window": window,
+                                        "action": action})
 
     # -- TraceLog sink (serving-layer reconciliation) ----------------------
 

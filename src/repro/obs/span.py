@@ -170,6 +170,18 @@ class SpanLog:
             self._close(span)
         return span
 
+    def annotate(self, request_id: int, time_ms: float, phase: str, *,
+                 detail: Mapping[str, object] | None = None) -> None:
+        """Append a non-terminal event to an *open* span only.
+
+        A request whose span already closed has left the system (a
+        shed victim can still sit in ``q'`` until dispatch discards
+        it), so late annotations must not reopen a span for it.
+        """
+        span = self._open.get(request_id)
+        if span is not None:
+            span.add(time_ms, phase, detail)
+
     def _close(self, span: Span) -> None:
         self._open.pop(span.request_id, None)
         self._closed.append(span)

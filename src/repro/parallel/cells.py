@@ -148,10 +148,10 @@ class CellSpec:
     service: tuple = ("constant", 50.0)
     drop_expired: bool = False
     priority_levels: int = 16
-    #: Simulation engine ("legacy" | "batched"); None defers to
-    #: ``$REPRO_SIM_ENGINE`` exactly like ``run_simulation``.  Results
-    #: are bit-identical either way; pin it when the *timing* of a
-    #: specific engine is the point (the bench does).
+    #: Simulation engine ("legacy" | "batched"); None runs the
+    #: default (batched).  Results are bit-identical either way; pin
+    #: "legacy" to run the oracle (the differential tests and the
+    #: bench's before arms do).
     engine: str | None = None
 
 
@@ -255,13 +255,9 @@ class ArrayCellSpec:
     priority_levels: int = 4
     fault_plan: FaultPlan | None = None
     retry_policy: RetryPolicy | None = None
-    #: Member-level concurrency inside the worker (tier 2); None keeps
-    #: the serial engine.
-    member_jobs: int | None = None
-    #: Array engine ("legacy" | "batched"); None defers to
-    #: ``$REPRO_SIM_ENGINE`` exactly like ``run_array_simulation``.
-    #: Results are bit-identical either way; pin it when the *timing*
-    #: of a specific engine is the point (the bench does).
+    #: Array engine ("legacy" | "batched"); None runs the default
+    #: (batched).  Results are bit-identical either way; pin "legacy"
+    #: to run the oracle.
     engine: str | None = None
 
 
@@ -292,7 +288,6 @@ def run_array_cell(spec: ArrayCellSpec) -> ArrayCellResult:
         priority_levels=spec.priority_levels,
         fault_plan=spec.fault_plan,
         retry_policy=spec.retry_policy,
-        member_jobs=spec.member_jobs,
         engine=spec.engine,
     )
     return ArrayCellResult(
@@ -335,10 +330,9 @@ class ClusterCellSpec:
     retry_policy: RetryPolicy | None = None
     max_queue: int = 64
     priority_levels: int = 8
-    #: Serving engine ("legacy" | "batched"); None defers to
-    #: ``$REPRO_SIM_ENGINE`` exactly like ``StreamingServer``.  Trace
-    #: digests are bit-identical either way; pin it when the *timing*
-    #: of a specific engine is the point (the bench does).
+    #: Serving engine ("legacy" | "batched"); None runs the default
+    #: (batched).  Trace digests are bit-identical either way; pin
+    #: "legacy" to run the oracle.
     engine: str | None = None
 
 

@@ -711,7 +711,6 @@ def run_array_simulation(
     rebuild: RebuildConfig | None = None,
     recharacterize_every_ms: float | None = None,
     observer: Observer | None = None,
-    member_jobs: int | None = None,
     engine: str | None = None,
 ) -> ArrayResult:
     """Replay logical block requests against a RAID-5 array.
@@ -741,12 +740,6 @@ def run_array_simulation(
     re-queues, completion/drop) and pulls per-member dispatcher stats
     into the registry under ``member<i>_dispatcher_*``; default off.
 
-    ``member_jobs`` switches to the member-parallel engine
-    (:mod:`repro.sim.members`): the five member disks advance
-    concurrently between array-level barrier points, with results
-    matching this serial engine (the differential tests pin equality).
-    ``None``/``0``/``1`` keep the serial event loop below.
-
     ``engine`` selects ``"legacy"`` (one heap event per arrival and
     per completion) or ``"batched"`` (arrivals consumed from a sorted
     column, member completions held as SoA lane columns
@@ -754,10 +747,7 @@ def run_array_simulation(
     stripes / refresh ticks left on the heap -- bit-identical by
     construction, because arrivals and completions reserve the exact
     sequence numbers the heap would have assigned, so every (time,
-    sequence) tie resolves identically).  ``None`` consults
-    ``$REPRO_SIM_ENGINE``.  Combining ``member_jobs > 1`` with the
-    batched engine warns and runs the batched path: the thread-window
-    member engine is GIL-bound and strictly slower.
+    sequence) tie resolves identically).  ``None`` runs batched.
     """
     from .server import resolve_engine
 
@@ -800,53 +790,6 @@ def run_array_simulation(
                 member.scheduler,
                 prefix=f"member{member.index}_dispatcher",
             )
-
-    if (member_jobs is not None and member_jobs not in (0, 1)
-            and engine == "batched"):
-        # The window-based member-jobs engine buys thread-level overlap
-        # that CPython's GIL never cashes, and the batched lane columns
-        # are faster than its barrier bookkeeping — silently paying the
-        # pool overhead on top of the batched engine would be strictly
-        # worse, so fall through to the batched path instead.
-        import warnings
-
-        warnings.warn(
-            "member_jobs > 1 with engine='batched' is redundant: the "
-            "thread-windowed member engine is GIL-bound and slower than "
-            "the batched lane columns; running the batched array engine "
-            "instead (results are identical either way)",
-            RuntimeWarning, stacklevel=2,
-        )
-        member_jobs = None
-
-    if member_jobs is not None and member_jobs not in (0, 1):
-        from .members import run_parallel_members  # avoid import cycle
-
-        physical_ops, tallies = run_parallel_members(
-            requests=requests,
-            members=array_members,
-            spare=spare,
-            raid=raid,
-            block_to_cylinder=block_to_cylinder,
-            logical_metrics=logical_metrics,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            failed_disk=failed_disk,
-            rebuild=rebuild,
-            dims=dims,
-            priority_levels=priority_levels,
-            recharacterize_every_ms=recharacterize_every_ms,
-            observer=obs,
-            jobs=member_jobs,
-        )
-        return ArrayResult(
-            logical_metrics=logical_metrics,
-            disk_metrics=[member.metrics for member in members],
-            physical_ops=physical_ops,
-            retries=tallies.retries,
-            failed_logical=tallies.failed_logical,
-            rebuild_ops=tallies.rebuild_ops,
-        )
 
     state_cls = _BatchedArrayState if engine == "batched" else _ArrayState
     state = state_cls(array_members, raid, queue, block_to_cylinder,

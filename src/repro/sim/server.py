@@ -8,7 +8,6 @@ so all schedulers see byte-identical workloads and timing rules.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,18 +56,15 @@ class SimulationResult:
         return self.metrics.seek_ms
 
 
-#: Environment override consulted when ``engine`` is not passed
-#: explicitly; the CI differential lane sets it to "batched" to run
-#: the whole quick suite through the SoA engine.
-ENGINE_ENV = "REPRO_SIM_ENGINE"
-
+#: ``"batched"`` is the default everywhere; ``"legacy"`` selects the
+#: differential oracle.
 ENGINES = ("legacy", "batched")
 
 
 def resolve_engine(engine: str | None) -> str:
-    """Validate the engine choice; None defers to $REPRO_SIM_ENGINE."""
+    """Validate the engine choice; None is the batched default."""
     if engine is None:
-        engine = os.environ.get(ENGINE_ENV) or "legacy"
+        return "batched"
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {ENGINES}"
@@ -123,8 +119,8 @@ def run_simulation(requests: Sequence[DiskRequest],
         ``"legacy"`` (the event-heap loop below) or ``"batched"`` (the
         structure-of-arrays engine in :mod:`repro.sim.batched`, which
         reproduces this loop's metrics, timeline, and QoS output
-        bit-for-bit -- the differential tests pin it).  ``None``
-        consults ``$REPRO_SIM_ENGINE``, defaulting to legacy.
+        bit-for-bit -- the differential tests pin it).  ``None`` runs
+        batched.
     """
     if recharacterize_every_ms is not None and recharacterize_every_ms <= 0:
         raise ValueError("recharacterize_every_ms must be positive")

@@ -30,6 +30,7 @@ import json
 import os
 import sqlite3
 from contextlib import closing
+from pathlib import Path
 
 from .base import (
     STORE_MAGIC,
@@ -88,16 +89,27 @@ def _opt_load(text: str | None):
 class SqliteRunStore(RunStore):
     """The sqlite-backed :class:`~repro.store.base.RunStore`."""
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, *, read_only: bool = False) -> None:
         self.path = str(path)
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
+        #: Read-only stores open sqlite with ``mode=ro``: a missing
+        #: file is an error instead of a new store, and nothing is
+        #: ever written.
+        self.read_only = read_only
+        if read_only:
+            if not os.path.isfile(self.path):
+                raise StoreError(f"no run store at {self.path}")
+        else:
+            parent = os.path.dirname(self.path)
+            if parent:
+                os.makedirs(parent, exist_ok=True)
         self._init_schema()
 
     # -- connection / schema -----------------------------------------------
 
     def _connect(self) -> sqlite3.Connection:
+        if self.read_only:
+            uri = f"{Path(self.path).resolve().as_uri()}?mode=ro"
+            return sqlite3.connect(uri, uri=True, timeout=BUSY_TIMEOUT_S)
         conn = sqlite3.connect(self.path, timeout=BUSY_TIMEOUT_S)
         conn.execute("PRAGMA synchronous=NORMAL")
         return conn
@@ -111,6 +123,9 @@ class SqliteRunStore(RunStore):
                         "WHERE type = 'table'")
                 }
                 if not tables:
+                    if self.read_only:
+                        raise StoreError(
+                            f"{self.path} is empty, not a run store")
                     with conn:
                         conn.executescript(_SCHEMA)
                         conn.execute(

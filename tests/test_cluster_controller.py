@@ -134,6 +134,39 @@ class TestFailureHandling:
                    for key in victims)
 
 
+class TestCrossReferences:
+    """Fault plans and the failing array must name parts of the fleet."""
+
+    def test_plan_for_missing_array_rejected(self):
+        with pytest.raises(ValueError, match="array 4, but the fleet"):
+            ClusterController(config(), failure_plans(array_id=4))
+
+    def test_plan_for_negative_array_rejected(self):
+        with pytest.raises(ValueError, match="array -1, but the fleet"):
+            ClusterController(config(), failure_plans(array_id=-1))
+
+    def test_disk_outside_stripe_rejected(self):
+        plans = {0: FaultPlan(
+            [DiskFailure(disk=5, start_ms=0.0, end_ms=1.0)], seed=7)}
+        with pytest.raises(ValueError, match="disk 5, outside the 5-disk"):
+            ClusterController(config(), plans)
+
+    def test_spec_rejects_failure_array_outside_fleet(self):
+        from repro.experiments.cluster_demo import ClusterSpec
+
+        with pytest.raises(ValueError, match="failure_array 1 is not"):
+            ClusterSpec(arrays=1)
+        with pytest.raises(ValueError, match="failure_array 4 is not"):
+            ClusterSpec(arrays=4, failure_array=4)
+        assert ClusterSpec(arrays=1, failure_array=None).arrays == 1
+
+    def test_spec_rejects_empty_fleet(self):
+        from repro.experiments.cluster_demo import ClusterSpec
+
+        with pytest.raises(ValueError, match="arrays must be >= 1"):
+            ClusterSpec(arrays=0, failure_array=None)
+
+
 class TestObservability:
     def test_snapshot_and_watch_cluster(self):
         controller = ClusterController(config(), failure_plans())

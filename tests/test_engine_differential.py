@@ -16,7 +16,7 @@ tests pin that contract across the whole accepted input space:
   ``recharacterize_every_ms`` refresh timers, live observers;
 * the RAID-5 array path: fault plans (failure windows, transient
   errors, latency spikes, thermal ramps), static degraded mode,
-  hot-spare rebuild, and ``member_jobs`` in {1, 2, 5}.
+  hot-spare rebuild.
 
 A divergence here means the batched engine changed semantics -- fix
 the engine, never the test.
@@ -119,34 +119,11 @@ def assert_engines_agree(requests, scheduler_key: str,
 
 # -- engine selection plumbing ---------------------------------------------
 
-def test_resolve_engine_default_and_env(monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-    assert resolve_engine(None) == "legacy"
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "batched")
+def test_resolve_engine_default_is_batched():
     assert resolve_engine(None) == "batched"
-    # Explicit choice beats the environment.
     assert resolve_engine("legacy") == "legacy"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown engine"):
         resolve_engine("vectorised")
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "turbo")
-    with pytest.raises(ValueError):
-        resolve_engine(None)
-
-
-def test_env_engine_reaches_run_simulation(monkeypatch):
-    """$REPRO_SIM_ENGINE routes a plain run through the batched engine
-    and reproduces the legacy result (the CI differential lane relies
-    on exactly this)."""
-    requests = workload(3, 60)
-    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-    legacy = run_simulation(requests, make_scheduler(SCHEDULER_REFS["full"]),
-                            constant_service(2.5), priority_levels=8,
-                            record_timeline=True)
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "batched")
-    batched = run_simulation(requests, make_scheduler(SCHEDULER_REFS["full"]),
-                             constant_service(2.5), priority_levels=8,
-                             record_timeline=True)
-    assert fingerprint(batched) == fingerprint(legacy)
 
 
 # -- quick deterministic lane (always on, CI-sized) ------------------------
@@ -306,40 +283,13 @@ def test_array_engines_identical_degraded_and_rebuild():
     seed=st.integers(0, 2**20),
     count=st.integers(60, 160),
     variant=st.integers(0, 2),
-    member_jobs=st.sampled_from((1, 2, 5)),
 )
-def test_array_engine_battery(seed, count, variant, member_jobs):
-    """Array runs agree under faults at every member_jobs level.
-
-    Under ``engine="legacy"`` ``member_jobs > 1`` runs the
-    thread-window member engine; under ``engine="batched"`` it warns
-    and runs the batched lane columns instead — the case therefore
-    pins the three engines (serial, windowed, batched) against each
-    other at once.
-    """
+def test_array_engine_battery(seed, count, variant):
+    """Array runs agree under every fault variant."""
     requests = ArrayWorkload(count=count).generate(seed)
     run_array_both(requests,
                    fault_plan=fault_variants(seed)[variant],
-                   retry_policy=RetryPolicy(),
-                   member_jobs=member_jobs)
-
-
-def test_array_batched_ignores_member_jobs_with_warning():
-    """engine='batched' + member_jobs>1 warns and no-ops to the
-    batched path (the GIL-bound window engine would only add pool
-    overhead), with results identical to member_jobs=None."""
-    requests = ArrayWorkload(count=60).generate(3)
-    plain = array_fingerprint(run_array_simulation(
-        requests, lambda: make_scheduler(baseline("scan", priority_levels=4)),
-        priority_levels=4, engine="batched",
-    ))
-    with pytest.warns(RuntimeWarning, match="GIL-bound"):
-        combined = array_fingerprint(run_array_simulation(
-            requests,
-            lambda: make_scheduler(baseline("scan", priority_levels=4)),
-            priority_levels=4, engine="batched", member_jobs=4,
-        ))
-    assert combined == plain
+                   retry_policy=RetryPolicy())
 
 
 def test_array_engines_identical_double_failure_and_rebuild():

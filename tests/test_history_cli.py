@@ -1,11 +1,12 @@
-"""The ``history`` CLI: record, list, show, replay, diff, engine pin.
+"""The ``history`` CLI: record, list, show, replay, diff.
 
 End-to-end through ``repro.experiments.cli.main`` — a quick serve run
 recorded with ``--record`` lands in the store, ``history
 list/show/replay/diff`` work against it, a tampered entry makes
 ``replay`` exit 1, ``diff --bench`` renders the committed baseline
-trajectory, and replay honors the *recorded* engine even when the
-ambient CLI default differs (the engine-pin regression).
+trajectory, read commands never create or write a store, and a run
+recorded on the legacy engine replays on the default engine (a
+cross-engine byte check).
 """
 
 from __future__ import annotations
@@ -108,8 +109,9 @@ class TestHistoryCommands:
         record_serve(store_path)
         capsys.readouterr()
         assert main(["history", "replay", "999",
-                     "--store", store_path]) == 1
-        assert "not found" in capsys.readouterr().out
+                     "--store", store_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not found" in err
 
     def test_diff_two_runs_reports_deltas(self, store_path, capsys):
         a = record_serve(store_path)
@@ -154,42 +156,69 @@ class TestHistoryCommands:
         foreign = str(tmp_path / "foreign.sqlite")
         with sqlite3.connect(foreign) as conn:
             conn.execute("CREATE TABLE t (x)")
-        assert main(["history", "list", "--store", foreign]) == 1
-        assert "foreign database" in capsys.readouterr().out
+        assert main(["history", "list", "--store", foreign]) == 2
+        assert "foreign database" in capsys.readouterr().err
 
 
-class TestEnginePin:
-    def test_replay_pins_recorded_engine(self, store_path, capsys,
-                                         monkeypatch):
-        """A legacy-recorded run replays legacy under a batched default.
+class TestReadOnlyReads:
+    @pytest.mark.parametrize("command", [
+        ["list"], ["show", "1"], ["replay", "99"], ["diff", "1", "2"],
+    ])
+    def test_read_on_missing_store_creates_nothing(self, tmp_path,
+                                                   capsys, command):
+        path = tmp_path / "new.sqlite"
+        assert main(["history", *command, "--store", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: no run store at {path}\n"
+        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
 
-        The engines are bit-identical, so a passing replay alone
-        can't prove the pin — instead the re-execution is wrapped to
-        capture the effective ``$REPRO_SIM_ENGINE`` at run time.
-        """
-        run_id = record_serve(store_path, "--engine", "legacy")
+    def test_reads_never_write(self, store_path, capsys):
+        run_id = record_serve(store_path)
         capsys.readouterr()
+        before = Path(store_path).read_bytes()
+        for command in (["list"], ["show", str(run_id)],
+                        ["replay", str(run_id)],
+                        ["diff", str(run_id), str(run_id)]):
+            assert main(["history", *command, "--store", store_path]) == 0
+        assert "imported" not in capsys.readouterr().out
+        assert Path(store_path).read_bytes() == before
+        assert not SqliteRunStore(store_path).labels(kind="bench")
+
+
+class TestLegacyRecordedReplay:
+    def test_legacy_run_replays_on_default_engine(self, store_path,
+                                                  capsys, monkeypatch):
+        """A legacy-recorded run replays on batched, byte-identical."""
+        from repro.experiments import serve_demo
+
+        spec = serve_demo.ServeSpec(engine="legacy").quick()
+        with SqliteRunStore(store_path) as store:
+            run_id = history.record_serve(
+                store, spec, serve_demo.run(spec, sink=lambda line: None))
         assert SqliteRunStore(store_path).get(run_id).engine == "legacy"
 
-        from repro.experiments import serve_demo
-        seen: list[str | None] = []
+        engines: list[str | None] = []
         original = serve_demo.run
 
-        def spying_run(*args, **kwargs):
-            seen.append(os.environ.get("REPRO_SIM_ENGINE"))
-            return original(*args, **kwargs)
+        def spying_run(spec, **kwargs):
+            engines.append(spec.engine)
+            return original(spec, **kwargs)
 
         monkeypatch.setattr(serve_demo, "run", spying_run)
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "batched")
         assert main(["history", "replay", str(run_id),
                      "--store", store_path]) == 0
-        capsys.readouterr()
-        assert seen == ["legacy"]
-        # The pin is scoped to the replay: the ambient default is back.
-        assert os.environ["REPRO_SIM_ENGINE"] == "batched"
+        assert "byte-for-byte" in capsys.readouterr().out
+        assert engines == [None]
 
-    def test_pinned_engine_restores_unset_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        with history.pinned_engine("legacy"):
-            assert os.environ["REPRO_SIM_ENGINE"] == "legacy"
-        assert "REPRO_SIM_ENGINE" not in os.environ
+
+class TestCliErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["cluster", "--arrays", "0"], "arrays must be >= 1, got 0"),
+        (["cluster", "--arrays", "1", "--quick"],
+         "failure_array 1 is not one of the fleet's arrays 0..0"),
+    ])
+    def test_bad_spec_is_one_line_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"

@@ -112,3 +112,19 @@ class TestObserverDoesNotPerturb:
                 a.dispatched, a.admitted, a.rejected) == (
             b.completed, b.missed, b.preempted, b.expired,
             b.dispatched, b.admitted, b.rejected)
+
+    def test_default_ramp_has_no_promote_only_spans(self):
+        """Shed victims stay in ``q'`` until dispatch discards them; an
+        SP promotion of one must not reopen its closed span."""
+        from repro.experiments import serve_demo
+
+        observer = Observer()
+        observed = serve_demo.run(ServeSpec(), observer=observer,
+                                  sink=lambda line: None)
+        plain = serve_demo.run(ServeSpec(), sink=lambda line: None)
+        assert observed.trace == plain.trace
+        open_phases = [{event.phase for event in span.events}
+                       for span in observer.spans._open.values()]
+        assert {"promote"} not in open_phases
+        # Every open span is a request still in the system at cutoff.
+        assert all("arrival" in phases for phases in open_phases)
