@@ -244,6 +244,11 @@ class GlobalAdmission:
         #: ``share_for`` call per decision covers the whole fleet
         #: (checked once here — pricing never varies per spec).
         self._uniform_pricing = self._pricing_is_uniform()
+        #: Fleet-uniform share per ``(rate_mbps, block_bytes)``: the
+        #: only spec fields the reservation price reads (block size and
+        #: period).  Filled on the fast path only; ``route_scan`` keeps
+        #: pricing every budget afresh.
+        self._share_memo: dict[tuple[float, int], float] = {}
         #: Lazy max-headroom heap: (-headroom, array_id, token).
         self._headroom_heap: list[tuple[float, int, int]] = []
         self._tokens: dict[int, int] = {}
@@ -332,7 +337,12 @@ class GlobalAdmission:
         """The fleet-uniform share of ``spec``, or None if non-uniform."""
         if not self._uniform_pricing:
             return None
-        return next(iter(self.budgets.values())).share_for(spec)
+        key = (spec.rate_mbps, spec.block_bytes)
+        share = self._share_memo.get(key)
+        if share is None:
+            share = next(iter(self.budgets.values())).share_for(spec)
+            self._share_memo[key] = share
+        return share
 
     # -- the decision procedure -------------------------------------------
 

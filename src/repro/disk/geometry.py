@@ -72,6 +72,10 @@ class DiskGeometry:
     zones: tuple[Zone, ...]
     #: Cylinder index of each zone boundary, precomputed for bisection.
     _zone_starts: tuple[int, ...] = field(init=False, repr=False)
+    #: Total formatted capacity in bytes, summed once here: stream
+    #: sessions read it on every open.  Derived from the zones, so it
+    #: takes no part in eq/hash.
+    capacity_bytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.cylinders < 1:
@@ -92,6 +96,11 @@ class DiskGeometry:
         object.__setattr__(
             self, "_zone_starts", tuple(z.first_cylinder for z in self.zones)
         )
+        object.__setattr__(self, "capacity_bytes", sum(
+            zone.cylinders * zone.sectors_per_track
+            * self.tracks_per_cylinder * self.sector_size
+            for zone in self.zones
+        ))
         # Column form of the zone table for block_cylinders: exclusive
         # cumulative byte boundaries, per-cylinder capacity, and first
         # cylinder of each zone.  Plain attributes (not dataclass
@@ -131,15 +140,6 @@ class DiskGeometry:
         """Bytes stored on one cylinder."""
         spt = self.sectors_per_track(cylinder)
         return spt * self.tracks_per_cylinder * self.sector_size
-
-    @property
-    def capacity_bytes(self) -> int:
-        """Total formatted capacity."""
-        return sum(
-            zone.cylinders * zone.sectors_per_track
-            * self.tracks_per_cylinder * self.sector_size
-            for zone in self.zones
-        )
 
     def block_cylinder(self, block: int, block_size: int) -> int:
         """Cylinder holding logical ``block`` of ``block_size`` bytes.

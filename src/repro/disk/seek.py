@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class SeekModel:
@@ -58,12 +60,24 @@ def _mean_over_random_pairs(model: SeekModel) -> float:
     """E[seek(|c1 - c2|)] with c1, c2 uniform over the cylinders.
 
     P(distance = d) = 2*(N - d)/N^2 for d >= 1 and 1/N for d = 0.
+
+    One numpy pass, bit-identical to summing
+    ``2.0 * (n - d) / (n * n) * seek_of_distance(d)`` for d = 1..n-1
+    left to right: every term uses the scalar path's operations in the
+    same order, and ``cumsum`` accumulates sequentially.  ``np.sum``
+    (pairwise) and ``math.fsum`` (exact) round differently and would
+    move the calibrated coefficient in its last ulp.
     """
     n = model.cylinders
-    total = 0.0
-    for d in range(1, n):
-        total += 2.0 * (n - d) / (n * n) * model.seek_of_distance(d)
-    return total
+    if n < 2:
+        return 0.0
+    d = np.arange(1, n, dtype=np.int64)
+    knee = max(model.knee, 0)  # distances 1..knee take the sqrt phase
+    seek = np.empty(n - 1, dtype=np.float64)
+    seek[:knee] = model.settle_ms + model.sqrt_coeff * np.sqrt(d[:knee])
+    seek[knee:] = model.linear_base + model.linear_coeff * d[knee:]
+    weights = 2.0 * (n - d) / (n * n)
+    return float(np.cumsum(weights * seek)[-1])
 
 
 def fit_seek_model(cylinders: int, average_ms: float, maximum_ms: float,

@@ -23,6 +23,8 @@ import sys
 import time
 from typing import Callable
 
+from repro.serve.admission import ADMISSION_POLICIES
+
 from . import (
     fig1_curves,
     fig5_priority_inversion,
@@ -337,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     server.add_argument("--quick", action="store_true",
                         help="short ramp (same saturation point)")
     server.add_argument("--policy", default="reservation",
-                        choices=("reservation", "measurement", "always"),
+                        choices=ADMISSION_POLICIES,
                         help="admission controller")
     server.add_argument("--scheduler", default="cascaded-sfc",
                         help="serving scheduler (registry name)")

@@ -21,7 +21,11 @@ from repro.core.config import CascadedSFCConfig
 from repro.core.scheduler import CascadedSFCScheduler
 from repro.disk.disk import make_xp32150_disk
 from repro.schedulers.base import Scheduler
-from repro.schedulers.registry import SchedulerContext, make_baseline
+from repro.schedulers.registry import (
+    BASELINES,
+    SchedulerContext,
+    make_baseline,
+)
 from repro.serve import (
     QoSReporter,
     RampEvent,
@@ -35,6 +39,7 @@ from repro.serve import (
     run_ramp_online,
 )
 from repro.serve.adapter import RampDecision
+from repro.serve.admission import ADMISSION_POLICIES
 from repro.sim.rng import derive
 from repro.sim.service import DiskService
 from repro.workloads.multimedia import normal_priority_level
@@ -67,6 +72,19 @@ class ServeSpec:
     #: (batched).  Traces are bit-identical either way; pin "legacy"
     #: to run the oracle.
     engine: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.scheduler != "cascaded-sfc" \
+                and self.scheduler not in BASELINES:
+            known = ", ".join(["cascaded-sfc", *sorted(BASELINES)])
+            raise ValueError(
+                f"unknown scheduler {self.scheduler!r}; known: {known}"
+            )
+        if self.policy not in ADMISSION_POLICIES:
+            raise ValueError(
+                f"unknown admission policy {self.policy!r}; "
+                f"known: {', '.join(ADMISSION_POLICIES)}"
+            )
 
     def quick(self) -> "ServeSpec":
         return replace(self, user_interval_ms=250.0, tail_ms=5_000.0)

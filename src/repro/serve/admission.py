@@ -234,6 +234,11 @@ class AlwaysAdmit(AdmissionPolicy):
         )
 
 
+#: Registry names :func:`make_admission` accepts.
+ADMISSION_POLICIES = (ReservationAdmission.name, MeasurementAdmission.name,
+                      AlwaysAdmit.name)
+
+
 def make_admission(name: str, disk: DiskModel | None = None,
                    **kwargs: object) -> AdmissionPolicy:
     """Instantiate a policy by registry name.
@@ -251,5 +256,5 @@ def make_admission(name: str, disk: DiskModel | None = None,
         return AlwaysAdmit()
     raise KeyError(
         f"unknown admission policy {name!r}; "
-        "known: reservation, measurement, always"
+        f"known: {', '.join(ADMISSION_POLICIES)}"
     )

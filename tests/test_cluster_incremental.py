@@ -70,9 +70,25 @@ def decision_fields(decision):
             decision.rank, decision.reason)
 
 
-@pytest.mark.parametrize("placement", ["ring", "least-reserved"])
-def test_mixed_script_decisions_identical(disk, placement):
-    """route == route_scan over a mixed open/close/rebuild script."""
+#: Block sizes for the mixed-block script: the fleet-uniform share
+#: memo must key on the block size as well as the rate.
+MIXED_BLOCKS = (FILE_BLOCK_BYTES // 2, FILE_BLOCK_BYTES,
+                2 * FILE_BLOCK_BYTES)
+
+
+@pytest.mark.parametrize("placement, blocks", [
+    pytest.param("ring", None, id="ring"),
+    pytest.param("least-reserved", None, id="least-reserved"),
+    pytest.param("ring", MIXED_BLOCKS, id="ring-mixed-blocks"),
+    pytest.param("least-reserved", MIXED_BLOCKS,
+                 id="least-reserved-mixed-blocks"),
+])
+def test_mixed_script_decisions_identical(disk, placement, blocks):
+    """route == route_scan over a mixed open/close/rebuild script.
+
+    ``blocks=None`` opens every stream at the default block size; the
+    mixed-block cases also draw the block size per open.
+    """
     fast = build_admission(disk, 5, placement, incremental=True)
     scan = build_admission(disk, 5, placement, incremental=False)
     rng = Random(11)
@@ -83,7 +99,10 @@ def test_mixed_script_decisions_identical(disk, placement):
         roll = rng.random()
         if roll < 0.55 or not placed:
             key = rng.randrange(100_000)
-            spec = StreamSpec(rate_mbps=rng.choice((0.375, 1.5)),
+            rate = rng.choice((0.375, 1.5))
+            block_bytes = (FILE_BLOCK_BYTES if blocks is None
+                           else rng.choice(blocks))
+            spec = StreamSpec(rate_mbps=rate, block_bytes=block_bytes,
                               priorities=(rng.randrange(4),))
             exclude = (frozenset({rng.randrange(5)})
                        if rng.random() < 0.1 else frozenset())

@@ -9,16 +9,53 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.disk.disk import FILE_BLOCK_BYTES, make_xp32150_disk
 from repro.disk.rotation import RotationModel
-from repro.disk.seek import LinearSeekModel, SeekModel, fit_seek_model
+from repro.disk.seek import (
+    LinearSeekModel,
+    SeekModel,
+    _mean_over_random_pairs,
+    fit_seek_model,
+)
+
+#: The calibrated Table 1 seek model, pinned bit for bit: the goldens,
+#: fleet fingerprints and perfbench digests all rest on these values.
+TABLE1_SEEK = SeekModel(cylinders=3832, settle_ms=1.5,
+                        sqrt_coeff=0.19169051191701653,
+                        linear_base=3.9096050312453055,
+                        linear_coeff=0.0036779939881896877, knee=958)
+
+
+def scalar_mean(model: SeekModel) -> float:
+    """Reference E[seek]: the scalar model summed left to right."""
+    n = model.cylinders
+    total = 0.0
+    for d in range(1, n):
+        total += 2.0 * (n - d) / (n * n) * model.seek_of_distance(d)
+    return total
 
 
 class TestFitSeekModel:
     def test_hits_calibration_targets(self):
         model = fit_seek_model(3832, average_ms=8.5, maximum_ms=18.0)
         assert model.expected_random_seek_ms() == pytest.approx(8.5,
-                                                                abs=0.01)
-        assert model.max_seek_ms == pytest.approx(18.0, abs=0.01)
+                                                                abs=1e-12)
+        assert model.max_seek_ms == pytest.approx(18.0, abs=1e-12)
+
+    def test_table1_model_is_pinned(self):
+        assert fit_seek_model(3832, 8.5, 18.0) == TABLE1_SEEK
+
+    def test_fcfs_uniform_requests_average_table1_seek(self):
+        """Analytic oracle: FCFS over uniform random cylinders converges
+        to the 8.5 ms expected seek the model is calibrated to."""
+        disk = make_xp32150_disk()
+        rng = Random(1)
+        cylinders = disk.geometry.cylinders
+        seeks = [disk.serve(rng.randrange(cylinders), FILE_BLOCK_BYTES)
+                 .seek_ms for _ in range(20_000)]
+        assert sum(seeks) / len(seeks) == pytest.approx(8.5, rel=0.02)
+        disk.reset(0)
+        assert disk.serve(cylinders - 1, FILE_BLOCK_BYTES).seek_ms == 18.0
 
     def test_zero_distance_is_free(self):
         model = fit_seek_model(3832, 8.5, 18.0)
@@ -61,6 +98,49 @@ class TestFitSeekModel:
     def test_short_seeks_cheaper_than_max(self, distance):
         model = fit_seek_model(3832, 8.5, 18.0)
         assert 0 < model.seek_of_distance(distance) <= model.max_seek_ms
+
+
+class TestMeanOverRandomPairs:
+    """The vectorised mean is bit-identical to the scalar sum."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cylinders=st.integers(min_value=2, max_value=5000),
+           settle_ms=st.floats(min_value=0.0, max_value=5.0),
+           sqrt_coeff=st.floats(min_value=0.0, max_value=2.0),
+           linear_base=st.floats(min_value=-5.0, max_value=20.0),
+           linear_coeff=st.floats(min_value=0.0, max_value=0.05),
+           knee_fraction=st.floats(min_value=0.0, max_value=1.2))
+    def test_equals_scalar_sum(self, cylinders, settle_ms, sqrt_coeff,
+                               linear_base, linear_coeff, knee_fraction):
+        model = SeekModel(cylinders, settle_ms, sqrt_coeff, linear_base,
+                          linear_coeff, int(cylinders * knee_fraction))
+        assert _mean_over_random_pairs(model) == scalar_mean(model)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cylinders=st.integers(min_value=2, max_value=5000),
+           average_ms=st.floats(min_value=0.5, max_value=15.0),
+           stroke=st.floats(min_value=1.1, max_value=4.0),
+           settle_ms=st.sampled_from([0.0, 0.8, 1.5, 3.0]),
+           knee_fraction=st.sampled_from([0.05, 0.25, 0.5, 0.9, 1.0]))
+    def test_fitted_models_equal_scalar_sum(self, cylinders, average_ms,
+                                            stroke, settle_ms,
+                                            knee_fraction):
+        model = fit_seek_model(cylinders, average_ms, average_ms * stroke,
+                               settle_ms=settle_ms,
+                               knee_fraction=knee_fraction)
+        assert _mean_over_random_pairs(model) == scalar_mean(model)
+
+    @pytest.mark.parametrize("cylinders", [2, 3, 17, 3832])
+    def test_no_linear_phase(self, cylinders):
+        """``span <= 0``: the knee sits on the last cylinder."""
+        model = fit_seek_model(cylinders, 5.0, 10.0, knee_fraction=1.0)
+        assert model.knee == cylinders - 1
+        assert model.linear_coeff == 0.0
+        assert _mean_over_random_pairs(model) == scalar_mean(model)
+
+    def test_single_cylinder_has_no_seek(self):
+        model = SeekModel(1, 1.5, 0.2, 3.0, 0.01, 0)
+        assert _mean_over_random_pairs(model) == 0.0 == scalar_mean(model)
 
 
 class TestLinearSeekModel:

@@ -12,6 +12,7 @@ from repro.experiments.cli import (
     main,
     run_experiment,
 )
+from repro.experiments.serve_demo import ServeSpec
 
 
 class TestRegistry:
@@ -46,6 +47,34 @@ class TestMain:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestServeSpecValidation:
+    def test_unknown_scheduler_is_one_line_exit_2(self, capsys):
+        assert main(["serve", "--quick", "--scheduler", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown scheduler 'nope'")
+        assert captured.err.count("\n") == 1
+        assert "edf" in captured.err
+
+    @pytest.mark.parametrize("field, value", [
+        ("scheduler", "nope"),
+        ("scheduler", ""),
+        ("policy", "nope"),
+    ])
+    def test_spec_rejects_unknown_names(self, field, value):
+        with pytest.raises(ValueError, match=f"unknown .*{value!r}"):
+            ServeSpec(**{field: value})
+
+    @pytest.mark.parametrize("scheduler, policy", [
+        ("cascaded-sfc", "reservation"),
+        ("edf", "measurement"),
+        ("fcfs", "always"),
+    ])
+    def test_spec_accepts_registered_names(self, scheduler, policy):
+        spec = ServeSpec(scheduler=scheduler, policy=policy)
+        assert (spec.scheduler, spec.policy) == (scheduler, policy)
 
 
 class TestRunExperiment:
