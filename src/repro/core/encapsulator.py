@@ -144,37 +144,39 @@ class PrioritySFCStage:
                     vectors: Sequence[Sequence[int]]) -> np.ndarray:
         """Stage-1 scalars of many priority vectors at once.
 
-        Memo hits are dictionary lookups; misses are computed in one
-        vectorized :func:`~repro.sfc.vectorized.batch_index` call
-        (analytic or LUT path) and back-filled into the memo.
-        Identical to per-vector :meth:`encode`.
+        Memo hits are dictionary lookups; each *distinct* miss is
+        computed once, all of them in one vectorized
+        :func:`~repro.sfc.vectorized.batch_index` call (analytic or LUT
+        path), scattered back to every row that holds it and
+        back-filled into the memo in first-seen order while the memo
+        is under its cap.  Identical to per-vector :meth:`encode`.
         """
         out = np.empty(len(vectors), dtype=np.float64)
-        missing: list[int] = []
         memo = self._memo
+        missing: list[int] = []
+        # Distinct missing vector -> its row in the points computed below.
+        slots: dict[tuple[int, ...], int] = {}
+        slot_of: list[int] = []
         for i, vector in enumerate(vectors):
             key = (vector if type(vector) is tuple else tuple(vector))
             value = memo.get(key)
             if value is None:
                 missing.append(i)
+                slot_of.append(slots.setdefault(key, len(slots)))
             else:
                 out[i] = value
         if missing:
             side = self._curve.side
             points = np.array(
-                [[min(max(int(level), 0), side - 1)
-                  for level in vectors[i]]
-                 for i in missing],
+                [[min(max(int(level), 0), side - 1) for level in key]
+                 for key in slots],
                 dtype=np.int64,
-            ).reshape(len(missing), self._curve.dims)
-            values = batch_index(self._curve, points)
-            cap = self._memo_cap
-            for j, i in enumerate(missing):
-                value = int(values[j])
-                out[i] = value
-                if len(memo) < cap:
-                    key = tuple(vectors[i])
-                    memo[key] = value
+            ).reshape(len(slots), self._curve.dims)
+            values = [int(v) for v in batch_index(self._curve, points)]
+            out[missing] = np.array(values, dtype=np.float64)[slot_of]
+            room = self._memo_cap - len(memo)
+            for key, value in zip(slots, values[:max(room, 0)]):
+                memo[key] = value
         return out
 
 

@@ -12,7 +12,8 @@ Usage::
     python -m repro.experiments history list|show|replay|diff
 
 Bad input (a ``ValueError`` from a spec, a ``StoreError`` from the run
-store) prints one ``error: ...`` line on stderr and exits 2.
+store, an ``OSError`` from an output path that cannot be written)
+prints one ``error: ...`` line on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -461,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.store import StoreError
     try:
         return _dispatch(args)
-    except (ValueError, StoreError) as exc:
+    except (ValueError, StoreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

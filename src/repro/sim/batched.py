@@ -3,18 +3,19 @@
 ``run_batched_simulation`` replays the same workload contract as the
 legacy event loop in :mod:`repro.sim.server`, but plans the run over
 numpy columns (:class:`repro.sim.soa.RequestColumns`) instead of one
-heap event per request:
+heap event per request, in one tight loop (:func:`_event_loop`):
 
 * **Event barriers, not a heap.**  At any instant the engine has at
   most two dynamic events outstanding -- the in-flight completion and
   the optional re-characterization timer -- so the next event is a
-  three-way minimum over (time, sequence) keys, with the pre-assigned
-  arrival sequences 0..n-1 reproducing the legacy heap's tie order
-  exactly (arrivals always beat dynamic events scheduled later).
+  three-way minimum over (time, sequence) keys taken with direct
+  comparisons, with the pre-assigned arrival sequences 0..n-1
+  reproducing the legacy heap's tie order exactly (arrivals always
+  beat dynamic events scheduled later).
 * **Vectorized arrival epochs.**  While the disk is busy, every
-  arrival strictly inside the current barrier is a pure scheduler
-  submit; the span boundary is one ``np.searchsorted`` and the span
-  is characterized in one :func:`repro.core.batch.characterize_batch`
+  arrival up to the current barrier is a pure scheduler submit; the
+  span boundary is one bisection of the arrival list and the span is
+  characterized in one :func:`repro.core.batch.characterize_batch`
   call with a per-request ``now`` column.  When the scheduler's v_c
   depends only on (request, arrival clock) -- the paper configuration:
   cascaded stages with the fixed sweep origin -- the whole run's SFC
@@ -23,6 +24,11 @@ heap event per request:
   per-level occupancy tables (:class:`repro.sim.soa.InversionLedger`)
   in O(levels) per dispatch instead of the legacy O(queue x dims)
   Python scan; integer arithmetic, so tallies are identical.
+
+Arrival, completion, refresh and dispatch handling, the observer and
+timeline hooks, the hard stop and expired drops all live in that one
+loop on local names; metric arithmetic stays in
+:class:`~repro.sim.metrics.MetricsCollector` and the ledger.
 
 The legacy engine remains the differential oracle: the batched path
 must reproduce its metrics, timeline, and QoS output bit-for-bit
@@ -33,6 +39,8 @@ submits so hook order is preserved exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from repro.core.request import DiskRequest
@@ -42,15 +50,7 @@ from repro.schedulers.base import Scheduler
 from .metrics import MetricsCollector
 from .server import SimulationResult, TimelineEntry
 from .service import ServiceModel
-from .soa import (
-    DISPATCHED,
-    DROPPED,
-    PENDING,
-    SERVED,
-    UNSERVED,
-    InversionLedger,
-    RequestColumns,
-)
+from .soa import InversionLedger, RequestColumns
 
 
 def precompute_sfc_keys(scheduler: Scheduler, columns: RequestColumns,
@@ -98,247 +98,171 @@ def run_batched_simulation(ordered: list[DiskRequest],
     columns = RequestColumns.from_requests(ordered,
                                            metrics.priority_dims)
     columns.sfc_key = precompute_sfc_keys(scheduler, columns, observer)
-    run = _BatchedRun(columns, scheduler, service, metrics,
-                      drop_expired=drop_expired, stop_at_ms=stop_at_ms,
-                      record_timeline=record_timeline,
-                      recharacterize_every_ms=recharacterize_every_ms,
-                      observer=observer)
-    run.execute()
+    timeline = _event_loop(
+        columns, scheduler, service, metrics,
+        drop_expired=drop_expired, stop_at_ms=stop_at_ms,
+        record_timeline=record_timeline,
+        recharacterize_every_ms=recharacterize_every_ms,
+        observer=observer)
     return SimulationResult(
         scheduler_name=scheduler.name,
         metrics=metrics,
         submitted=len(ordered),
         unserved=len(scheduler),
-        timeline=run.timeline,
+        timeline=timeline,
     )
 
 
-class _BatchedRun:
-    """One engine execution: the barrier loop and its event handlers."""
+def _event_loop(columns: RequestColumns, scheduler: Scheduler,
+                service: ServiceModel, metrics: MetricsCollector, *,
+                drop_expired: bool, stop_at_ms: float | None,
+                record_timeline: bool,
+                recharacterize_every_ms: float | None,
+                observer: Observer | None) -> list[TimelineEntry] | None:
+    """Replay the legacy event order over ``columns``; return the timeline.
 
-    def __init__(self, columns: RequestColumns, scheduler: Scheduler,
-                 service: ServiceModel, metrics: MetricsCollector, *,
-                 drop_expired: bool, stop_at_ms: float | None,
-                 record_timeline: bool,
-                 recharacterize_every_ms: float | None,
-                 observer: Observer | None) -> None:
-        self.columns = columns
-        self.scheduler = scheduler
-        self.service = service
-        self.metrics = metrics
-        self.drop_expired = drop_expired
-        self.stop_at_ms = stop_at_ms
-        self.refresh_every = recharacterize_every_ms
-        self.obs = observer
-        self.timeline: list[TimelineEntry] | None = (
-            [] if record_timeline else None)
-        self.ledger = InversionLedger(columns.priorities)
-        self.index_of = {id(request): i
-                         for i, request in enumerate(columns.requests)}
-        self.busy = False
-        self.now = 0.0
-        # Dynamic events replicate the legacy heap's sequence counter:
-        # arrivals hold 0..n-1, completions/refreshes draw n, n+1, ...
-        # in scheduling order, so (time, sequence) ties break the same.
-        self._seq = len(columns)
-        self._completion: tuple[float, int, DiskRequest] | None = None
-        self._refresh: tuple[float, int] | None = None
-        self._can_refresh = (
-            recharacterize_every_ms is not None
-            and getattr(scheduler, "recharacterize", None) is not None
-        )
+    Dynamic events replicate the legacy heap's sequence counter:
+    arrivals hold 0..n-1, completions and refreshes draw n, n+1, ...
+    in scheduling order, so (time, sequence) ties break the same way.
+    """
+    requests = columns.requests
+    arrivals = columns.arrival_ms.tolist()
+    keys = None if columns.sfc_key is None else columns.sfc_key.tolist()
+    n = len(arrivals)
+    index_of = {id(request): i for i, request in enumerate(requests)}
+    ledger = InversionLedger(columns.priorities)
+    add, remove = ledger.add, ledger.remove
+    inversions_of = ledger.inversions_of
+    insert = None if keys is None else scheduler.dispatcher.insert
+    next_request, on_served = scheduler.next_request, scheduler.on_served
+    on_complete, on_service = metrics.on_complete, metrics.on_service
+    note_queue_length = metrics.note_queue_length
+    add_inversions = metrics.add_inversions
+    serve = service.serve
+    obs = observer
+    stop = stop_at_ms
+    timeline: list[TimelineEntry] | None = [] if record_timeline else None
+    every = (recharacterize_every_ms
+             if getattr(scheduler, "recharacterize", None) is not None
+             else None)
 
-    # -- sequence / refresh bookkeeping -----------------------------------
+    seq = n              # next dynamic-event sequence number
+    i = 0                # next arrival
+    in_flight = None     # request on the disk, done at (done_at, done_seq)
+    done_at = 0.0
+    done_seq = 0
+    refresh_at = None    # armed refresh timer, at (refresh_at, refresh_seq)
+    refresh_seq = 0
+    while True:
+        kind = "arrival" if i < n else None
+        if kind is not None:
+            at = arrivals[i]
+        if in_flight is not None and (kind is None or done_at < at):
+            kind, at = "completion", done_at
+        if refresh_at is not None and (
+                kind is None or refresh_at < at
+                or (refresh_at == at and kind == "completion"
+                    and refresh_seq < done_seq)):
+            kind, at = "refresh", refresh_at
+        if kind is None or (stop is not None and at > stop):
+            break
+        now = at
 
-    def _next_seq(self) -> int:
-        seq = self._seq
-        self._seq += 1
-        return seq
-
-    def _arm_refresh(self) -> None:
-        if not self._can_refresh or self._refresh is not None:
-            return
-        self._refresh = (self.now + self.refresh_every, self._next_seq())
-
-    # -- the barrier loop --------------------------------------------------
-
-    def execute(self) -> None:
-        columns = self.columns
-        n = len(columns)
-        arrivals = columns.arrival_ms.tolist()
-        stop = self.stop_at_ms
-        i = 0
-        while True:
-            kind = None
-            time = seq = 0
-            if i < n:
-                kind, time, seq = "arrival", arrivals[i], i
-            completion = self._completion
-            if completion is not None and (
-                    kind is None
-                    or (completion[0], completion[1]) < (time, seq)):
-                kind, time, seq = "completion", completion[0], completion[1]
-            refresh = self._refresh
-            if refresh is not None and (
-                    kind is None or (refresh[0], refresh[1]) < (time, seq)):
-                kind, time, seq = "refresh", refresh[0], refresh[1]
-            if kind is None:
-                break
-            if stop is not None and time > stop:
-                self.now = stop
-                break
-            self.now = time
-            if kind == "arrival":
-                i = self._on_arrivals(i)
-            elif kind == "completion":
-                self._on_completion()
+        if kind == "arrival":
+            if in_flight is not None and obs is None and (
+                    every is None or refresh_at is not None):
+                # Busy, unobserved, refresh timer settled: every arrival
+                # up to the next dynamic event (inclusive -- arrivals
+                # win ties) is a pure submit, since dispatch no-ops
+                # while busy.  Arrivals past the hard stop never fire;
+                # one exactly at the stop instant still does.
+                barrier = done_at
+                if refresh_at is not None and refresh_at < barrier:
+                    barrier = refresh_at
+                if stop is not None and stop < barrier:
+                    barrier = stop
+                end = bisect_right(arrivals, barrier, i + 1)
+                if keys is None:
+                    scheduler.submit_many(requests[i:end],
+                                          columns.arrival_ms[i:end],
+                                          service.head_cylinder)
+                    for j in range(i, end):
+                        add(j)
+                else:
+                    for j in range(i, end):
+                        insert(requests[j], keys[j])
+                        add(j)
+                i = end
+                continue
+            # Idle (each arrival may dispatch at once), observed (hook
+            # order) or arming the refresh timer at this arrival's
+            # clock: the legacy arrival handler, one request.
+            request = requests[i]
+            if obs is not None:
+                obs.on_arrival(request, now)
+            if keys is None:
+                scheduler.submit(request, now, service.head_cylinder)
             else:
-                self._on_refresh()
-        state = columns.state
-        state[:i][state[:i] == PENDING] = UNSERVED
-
-    # -- event handlers ----------------------------------------------------
-
-    def _on_arrivals(self, i: int) -> int:
-        """Fire arrival ``i``; bulk-submit its whole epoch when legal."""
-        if not self.busy or self.obs is not None:
-            # Idle (each arrival may dispatch immediately) or observed
-            # (per-request hook order): replicate the legacy arrival
-            # handler one request at a time.
-            self._single_arrival(i)
-            return i + 1
-        if self._can_refresh and self._refresh is None:
-            # The first arrival of a busy epoch arms the refresh timer
-            # at its own clock; submit it alone so the barrier below
-            # sees the new timer.
-            self._single_arrival(i)
-            return i + 1
-        # Busy and unobserved: every arrival up to the next dynamic
-        # event is a pure submit (try_dispatch no-ops while busy, the
-        # refresh timer is already armed or impossible).  Arrivals tie
-        # ahead of dynamic events, so the span is inclusive of the
-        # barrier instant.
-        barrier = self._completion[0]
-        if self._refresh is not None and self._refresh[0] < barrier:
-            barrier = self._refresh[0]
-        if self.stop_at_ms is not None and self.stop_at_ms < barrier:
-            # Arrivals past the hard stop never fire in the legacy
-            # engine; an arrival exactly at the stop instant still does.
-            barrier = self.stop_at_ms
-        end = int(np.searchsorted(self.columns.arrival_ms, barrier,
-                                  side="right"))
-        if end <= i:
-            end = i + 1
-        self._submit_span(i, end)
-        return end
-
-    def _single_arrival(self, i: int) -> None:
-        request = self.columns.requests[i]
-        now = self.now
-        obs = self.obs
-        if obs is not None:
-            obs.on_arrival(request, now)
-        self._submit_one(i, now)
-        if obs is not None:
-            obs.ensure_enqueued(request, now)
-            obs.on_queue_depth(now, len(self.scheduler))
-        self._try_dispatch()
-        if len(self.scheduler):
-            self._arm_refresh()
-
-    def _submit_one(self, i: int, now: float) -> None:
-        request = self.columns.requests[i]
-        keys = self.columns.sfc_key
-        if keys is not None:
-            self.scheduler.dispatcher.insert(request, float(keys[i]))
+                insert(request, keys[i])
+            add(i)
+            i += 1
+            if obs is not None:
+                obs.ensure_enqueued(request, now)
+                obs.on_queue_depth(now, len(scheduler))
+        elif kind == "completion":
+            request, in_flight = in_flight, None
+            on_complete(request, now)
+            on_served(request, now)
+            if obs is not None:
+                obs.on_complete(request, now,
+                                missed=now > request.deadline_ms)
         else:
-            self.scheduler.submit(request, now,
-                                  self.service.head_cylinder)
-        self.ledger.add(i)
+            refresh_at = None
+            if not len(scheduler):
+                continue
+            scheduler.recharacterize(  # type: ignore[attr-defined]
+                now, service.head_cylinder)
 
-    def _submit_span(self, start: int, end: int) -> None:
-        columns = self.columns
-        requests = columns.requests
-        keys = columns.sfc_key
-        ledger = self.ledger
-        if keys is not None:
-            insert = self.scheduler.dispatcher.insert
-            for j in range(start, end):
-                insert(requests[j], float(keys[j]))
-                ledger.add(j)
-            return
-        self.scheduler.submit_many(requests[start:end],
-                                   columns.arrival_ms[start:end],
-                                   self.service.head_cylinder)
-        for j in range(start, end):
-            ledger.add(j)
-
-    def _try_dispatch(self) -> None:
-        scheduler = self.scheduler
-        service = self.service
-        metrics = self.metrics
-        columns = self.columns
-        while not self.busy:
-            now = self.now
-            request = scheduler.next_request(now, service.head_cylinder)
+        # Dispatch while the disk is free.
+        while in_flight is None:
+            request = next_request(now, service.head_cylinder)
             if request is None:
-                return
-            index = self.index_of[id(request)]
-            self.ledger.remove(index)
-            metrics.note_queue_length(len(scheduler) + 1)
-            obs = self.obs
-            if self.drop_expired and now >= request.deadline_ms:
-                columns.state[index] = DROPPED
-                metrics.on_complete(request, now, dropped=True)
-                scheduler.on_served(request, now)
+                break
+            index = index_of[id(request)]
+            remove(index)
+            note_queue_length(len(scheduler) + 1)
+            if drop_expired and now >= request.deadline_ms:
+                on_complete(request, now, dropped=True)
+                on_served(request, now)
                 if obs is not None:
                     obs.on_drop(request, now, "expired")
-                if self.timeline is not None:
-                    self.timeline.append(TimelineEntry(
+                if timeline is not None:
+                    timeline.append(TimelineEntry(
                         request.request_id, now, now,
                         len(scheduler), dropped=True,
                     ))
                 continue
-            metrics.add_inversions(self.ledger.inversions_of(index))
-            record = service.serve(request, now)
-            metrics.on_service(record.seek_ms, record.latency_ms,
-                               record.transfer_ms)
+            add_inversions(inversions_of(index))
+            record = serve(request, now)
+            on_service(record.seek_ms, record.latency_ms,
+                       record.transfer_ms)
             if obs is not None:
                 obs.on_dispatch(request, now)
                 obs.on_service(request, now, seek_ms=record.seek_ms,
                                latency_ms=record.latency_ms,
                                transfer_ms=record.transfer_ms)
-            completion = now + record.total_ms
-            if self.timeline is not None:
-                self.timeline.append(TimelineEntry(
-                    request.request_id, now, completion,
-                    len(scheduler),
+            done_at = now + record.total_ms
+            if timeline is not None:
+                timeline.append(TimelineEntry(
+                    request.request_id, now, done_at, len(scheduler),
                 ))
-            columns.state[index] = DISPATCHED
-            self.busy = True
-            self._completion = (completion, self._next_seq(), request)
-            return
+            in_flight, done_seq = request, seq
+            seq += 1
 
-    def _on_completion(self) -> None:
-        _, _, request = self._completion
-        self._completion = None
-        self.busy = False
-        now = self.now
-        self.metrics.on_complete(request, now)
-        self.columns.state[self.index_of[id(request)]] = SERVED
-        self.scheduler.on_served(request, now)
-        if self.obs is not None:
-            self.obs.on_complete(request, now,
-                                 missed=now > request.deadline_ms)
-        self._try_dispatch()
-
-    def _on_refresh(self) -> None:
-        self._refresh = None
-        scheduler = self.scheduler
-        if len(scheduler):
-            scheduler.recharacterize(  # type: ignore[attr-defined]
-                self.now, self.service.head_cylinder
-            )
-            self._try_dispatch()
-            if len(scheduler):
-                self._arm_refresh()
+        # Arrivals and refreshes (not completions) arm the next refresh
+        # while work is queued; at most one timer is outstanding.
+        if (kind != "completion" and every is not None
+                and refresh_at is None and len(scheduler)):
+            refresh_at, refresh_seq = now + every, seq
+            seq += 1
+    return timeline

@@ -65,6 +65,10 @@ class MetricsCollector:
 
     def __post_init__(self) -> None:
         dims, levels = self.priority_dims, self.priority_levels
+        if levels < 1:
+            raise ValueError(f"priority_levels must be >= 1, got {levels}")
+        if dims < 0:
+            raise ValueError(f"priority_dims must be >= 0, got {dims}")
         self.inversions_by_dim = [0] * dims
         self.requests_by_dim_level = [[0] * levels for _ in range(dims)]
         self.misses_by_dim_level = [[0] * levels for _ in range(dims)]

@@ -3,9 +3,10 @@
 The legacy engine walks one Python object per request; the batched
 engine (:mod:`repro.sim.batched`) keeps the whole workload as numpy
 columns -- arrival, cylinder (the "sector" axis of the disk model),
-deadline, stream id, per-dimension priorities, the precomputed SFC
-key when the scheduler admits one, and a request-state code -- and
-advances over them in vectorized epochs between event barriers.
+deadline, stream id, per-dimension priorities and the precomputed SFC
+key when the scheduler admits one.  Its event loop reads the arrival
+and key columns as Python lists (one ``tolist()`` each) and ranks the
+priority matrix for its inversion ledger.
 
 The columns never replace the :class:`~repro.core.request.DiskRequest`
 objects (schedulers and metrics still receive the originals, so every
@@ -22,14 +23,6 @@ import numpy as np
 
 from repro.core.request import DiskRequest
 
-#: Request-state codes carried in :attr:`RequestColumns.state`.
-PENDING = 0      #: not yet arrived / waiting in the scheduler
-DISPATCHED = 1   #: currently occupying the disk
-SERVED = 2       #: completed service
-DROPPED = 3      #: expired and dropped without disk time
-UNSERVED = 4     #: still queued when the run stopped
-
-
 @dataclass
 class RequestColumns:
     """The workload as parallel numpy columns, in arrival order."""
@@ -43,8 +36,6 @@ class RequestColumns:
     stream_id: np.ndarray
     #: ``(n, dims)`` int64 matrix of the priority vectors.
     priorities: np.ndarray
-    #: Request lifecycle codes (PENDING/DISPATCHED/SERVED/...).
-    state: np.ndarray
     #: Precomputed whole-run v_c (float64), or None when the scheduler
     #: does not admit arrival-time precomputation.
     sfc_key: np.ndarray | None = None
@@ -53,26 +44,17 @@ class RequestColumns:
     def from_requests(cls, ordered: Sequence[DiskRequest],
                       dims: int) -> "RequestColumns":
         n = len(ordered)
-        arrival = np.empty(n, dtype=np.float64)
-        deadline = np.empty(n, dtype=np.float64)
-        cylinder = np.empty(n, dtype=np.int64)
-        stream = np.empty(n, dtype=np.int64)
-        priorities = np.empty((n, dims), dtype=np.int64)
-        for i, request in enumerate(ordered):
-            arrival[i] = max(request.arrival_ms, 0.0)
-            deadline[i] = request.deadline_ms
-            cylinder[i] = request.cylinder
-            stream[i] = request.stream_id
-            if dims:
-                priorities[i, :] = request.priorities
         return cls(
             requests=tuple(ordered),
-            arrival_ms=arrival,
-            deadline_ms=deadline,
-            cylinder=cylinder,
-            stream_id=stream,
-            priorities=priorities,
-            state=np.zeros(n, dtype=np.uint8),
+            arrival_ms=np.fromiter(
+                (max(r.arrival_ms, 0.0) for r in ordered), np.float64, n),
+            deadline_ms=np.fromiter(
+                (r.deadline_ms for r in ordered), np.float64, n),
+            cylinder=np.fromiter((r.cylinder for r in ordered), np.int64, n),
+            stream_id=np.fromiter(
+                (r.stream_id for r in ordered), np.int64, n),
+            priorities=np.array([r.priorities for r in ordered],
+                                dtype=np.int64).reshape(n, dims),
         )
 
     def __len__(self) -> int:
@@ -159,24 +141,24 @@ class InversionLedger:
     """
 
     def __init__(self, priorities: np.ndarray) -> None:
-        self._dims = priorities.shape[1] if priorities.ndim == 2 else 0
-        self._ranks: list[np.ndarray] = []
-        self._counts: list[list[int]] = []
-        for k in range(self._dims):
+        #: One ``(waiting count per level, rank per request)`` pair per
+        #: dimension, both plain lists so a dispatch indexes no numpy
+        #: scalars.
+        self._tables: list[tuple[list[int], list[int]]] = []
+        for k in range(priorities.shape[1]):
             levels, ranks = np.unique(priorities[:, k],
                                       return_inverse=True)
-            self._ranks.append(ranks.astype(np.int64))
-            self._counts.append([0] * len(levels))
+            self._tables.append(([0] * len(levels), ranks.tolist()))
 
     def add(self, index: int) -> None:
         """Request ``index`` joined the waiting set."""
-        for k in range(self._dims):
-            self._counts[k][self._ranks[k][index]] += 1
+        for counts, ranks in self._tables:
+            counts[ranks[index]] += 1
 
     def remove(self, index: int) -> None:
         """Request ``index`` left the waiting set (popped by dispatch)."""
-        for k in range(self._dims):
-            self._counts[k][self._ranks[k][index]] -= 1
+        for counts, ranks in self._tables:
+            counts[ranks[index]] -= 1
 
     def inversions_of(self, index: int) -> list[int]:
         """Waiting requests strictly above ``index``'s priority, per dim.
@@ -184,11 +166,8 @@ class InversionLedger:
         Call after :meth:`remove`, mirroring the legacy engine where
         the dispatched request is already out of ``pending()``.
         """
-        out = []
-        for k in range(self._dims):
-            rank = self._ranks[k][index]
-            out.append(sum(self._counts[k][:rank]))
-        return out
+        return [sum(counts[:ranks[index]])
+                for counts, ranks in self._tables]
 
 
 @dataclass

@@ -87,6 +87,11 @@ SCHEDULER_REFS = {
 def service_for(kind: str):
     if kind == "constant":
         return constant_service(2.5)
+    if kind == "grid":
+        # Every completion lands on the 2 ms arrival grid.
+        return constant_service(2.0)
+    if kind == "zero":
+        return constant_service(0.0)
     if kind == "scaled":
         return priority_scaled_service(1.0, 0.8)
     from repro.disk.disk import make_xp32150_disk
@@ -188,6 +193,83 @@ def test_engines_identical_with_observer():
         exports[engine] = observer.registry.to_prometheus()
     assert prints["batched"] == prints["legacy"]
     assert exports["batched"] == exports["legacy"]
+
+
+# -- event-loop tie and boundary cases --------------------------------------
+
+def on_grid(requests, step_ms: float = 2.0) -> list:
+    """``requests`` with arrivals snapped down to a ``step_ms`` grid:
+    several arrivals share an instant, and some instants have none."""
+    return [r.__class__(**{**vars(r), "arrival_ms":
+                           float(int(r.arrival_ms // step_ms)) * step_ms})
+            for r in requests]
+
+
+@pytest.mark.parametrize("scheduler_key", sorted(SCHEDULER_REFS))
+@pytest.mark.parametrize("knobs", [
+    {},
+    {"drop_expired": True, "recharacterize_every_ms": 4.0},
+], ids=["plain", "drop+refresh"])
+def test_engines_identical_on_completion_instants(scheduler_key, knobs):
+    """Arrivals exactly on completion (and refresh) instants: every
+    tie between an arrival, the in-flight completion and the refresh
+    timer must break as in the legacy heap."""
+    requests = on_grid(workload(31, 160, mean_interarrival_ms=1.4))
+    legacy = assert_engines_agree(requests, scheduler_key,
+                                  service_kind="grid", **knobs)
+    arrivals = {r.arrival_ms for r in requests}
+    # The ties must actually occur, or the case proves nothing.
+    assert any(entry.end_ms in arrivals and not entry.dropped
+               for entry in legacy[3])
+
+
+@pytest.mark.parametrize("scheduler_key", ["full", "track-head", "edf"])
+@pytest.mark.parametrize("drop_expired", [False, True])
+def test_engines_identical_on_zero_duration_service(scheduler_key,
+                                                    drop_expired):
+    """A completion at its own dispatch instant still queues behind the
+    arrivals that share that instant."""
+    requests = on_grid(workload(37, 120, mean_interarrival_ms=1.0))
+    legacy = assert_engines_agree(requests, scheduler_key,
+                                  service_kind="zero",
+                                  drop_expired=drop_expired)
+    assert all(entry.start_ms == entry.end_ms for entry in legacy[3])
+
+
+@pytest.mark.parametrize("clamped", [False, True],
+                         ids=["first-arrival-positive", "clamped-to-0"])
+def test_engines_identical_on_stop_boundaries(clamped):
+    """``stop_at_ms`` at 0, below 0 and exactly at the first arrival:
+    an arrival at the stop instant fires, one after it never does."""
+    requests = workload(43, 60, mean_interarrival_ms=2.0)
+    if clamped:
+        requests = [r.__class__(**{**vars(r), "arrival_ms": -3.0})
+                    if i < 3 else r for i, r in enumerate(requests)]
+    first = max(min(r.arrival_ms for r in requests), 0.0)
+    assert (first == 0.0) == clamped
+    for stop in (0.0, -1.0, first):
+        for key in ("full", "track-head", "edf"):
+            legacy = assert_engines_agree(requests, key, stop_at_ms=stop)
+            fired = len(legacy[3]) + legacy[2]
+            assert fired == (0 if stop < first else
+                             sum(max(r.arrival_ms, 0.0) == first
+                                 for r in requests))
+
+
+@pytest.mark.parametrize("scheduler_key", ["full", "track-head",
+                                           "full-dispatcher", "edf"])
+def test_engines_identical_with_drop_stop_and_refresh(scheduler_key):
+    # Deadlines of 5-35 ms under 2.8x overload, so drops start early.
+    requests = [r.__class__(**{**vars(r), "deadline_ms":
+                               r.arrival_ms + 5.0 + 5.0 * (i % 7)})
+                for i, r in enumerate(
+                    workload(47, 200, mean_interarrival_ms=0.9))]
+    stop = max(r.arrival_ms for r in requests) * 0.6
+    legacy = assert_engines_agree(requests, scheduler_key,
+                                  drop_expired=True, stop_at_ms=stop,
+                                  recharacterize_every_ms=7.0)
+    assert legacy[2] > 0                                 # truncated
+    assert any(entry.dropped for entry in legacy[3])     # drops fired
 
 
 # -- hypothesis battery (single disk) --------------------------------------

@@ -222,3 +222,17 @@ class TestCliErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag, command", [
+        ("--csv", ["run", "fig5", "--quick"]),
+        ("--out-dir", ["obs", "--quick"]),
+    ])
+    def test_output_path_under_a_file_is_one_line_exit_2(
+            self, tmp_path, capsys, flag, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        target = blocker / "sub"
+        assert main([*command, flag, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Not a directory" in err and str(target) in err

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.schedulers.fcfs import FCFSScheduler
+from repro.sim import run_simulation
 from repro.sim.metrics import MetricsCollector, linear_weights
+from repro.sim.service import constant_service
 from tests.conftest import make_request
 
 
@@ -25,6 +28,25 @@ class TestLinearWeights:
     def test_validation(self):
         with pytest.raises(ValueError):
             linear_weights(0)
+
+
+class TestShapeValidation:
+    @pytest.mark.parametrize("dims, levels", [(1, 0), (0, 0), (2, -3),
+                                              (-1, 8)])
+    def test_rejects_bad_shape(self, dims, levels):
+        with pytest.raises(ValueError, match="must be >= "):
+            MetricsCollector(dims, levels)
+
+    @pytest.mark.parametrize("engine", ["legacy", "batched"])
+    def test_run_simulation_fails_before_serving(self, engine):
+        """``priority_levels=0`` is rejected up front, not mid-run."""
+        scheduler = FCFSScheduler()
+        requests = [make_request(i, arrival_ms=float(i), priorities=(1,))
+                    for i in range(3)]
+        with pytest.raises(ValueError, match="priority_levels"):
+            run_simulation(requests, scheduler, constant_service(1.0),
+                           priority_levels=0, engine=engine)
+        assert len(scheduler) == 0
 
 
 class TestInversionCounting:
