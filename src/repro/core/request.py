@@ -56,11 +56,16 @@ class DiskRequest:
     is_write: bool = False
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.arrival_ms):
+            # Arrival instants order every queue and event loop; a NaN
+            # compares false both ways, so engines would disagree.
+            raise ValueError(
+                f"arrival_ms must be finite, got {self.arrival_ms!r}")
         if self.cylinder < 0:
             raise ValueError("cylinder must be non-negative")
         if self.nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        if any(p < 0 for p in self.priorities):
+        if self.priorities and min(self.priorities) < 0:
             raise ValueError("priority levels must be non-negative")
 
     @property

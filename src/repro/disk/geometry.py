@@ -10,7 +10,9 @@ schedulers care about.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -101,25 +103,20 @@ class DiskGeometry:
             * self.tracks_per_cylinder * self.sector_size
             for zone in self.zones
         ))
-        # Column form of the zone table for block_cylinders: exclusive
-        # cumulative byte boundaries, per-cylinder capacity, and first
-        # cylinder of each zone.  Plain attributes (not dataclass
-        # fields) so eq/hash semantics are untouched.
-        per_cyl = np.array(
-            [z.sectors_per_track * self.tracks_per_cylinder * self.sector_size
-             for z in self.zones], dtype=np.int64)
-        zone_bytes = per_cyl * np.array(
-            [z.cylinders for z in self.zones], dtype=np.int64)
-        object.__setattr__(self, "_zone_byte_ends", np.cumsum(zone_bytes))
-        object.__setattr__(
-            self, "_zone_byte_starts",
-            self._zone_byte_ends - zone_bytes,  # type: ignore[attr-defined]
-        )
+        # The zone table of the block-to-cylinder map, as Python ints:
+        # cumulative byte ends (exclusive), byte starts and per-cylinder
+        # capacity of each zone (first cylinders are _zone_starts).
+        # Plain attributes (not dataclass fields) so eq/hash semantics
+        # are untouched.
+        per_cyl = tuple(
+            z.sectors_per_track * self.tracks_per_cylinder * self.sector_size
+            for z in self.zones)
+        zone_bytes = [c * z.cylinders for c, z in zip(per_cyl, self.zones)]
+        ends = tuple(accumulate(zone_bytes))
+        object.__setattr__(self, "_zone_byte_ends", ends)
+        object.__setattr__(self, "_zone_byte_starts", tuple(
+            end - size for end, size in zip(ends, zone_bytes)))
         object.__setattr__(self, "_zone_per_cyl", per_cyl)
-        object.__setattr__(
-            self, "_zone_first",
-            np.array([z.first_cylinder for z in self.zones], dtype=np.int64),
-        )
 
     def zone_of(self, cylinder: int) -> Zone:
         """The zone containing ``cylinder``."""
@@ -150,39 +147,40 @@ class DiskGeometry:
         if block < 0:
             raise ValueError("block must be non-negative")
         offset = block * block_size
-        for zone in self.zones:
-            zone_bytes = (zone.cylinders * zone.sectors_per_track
-                          * self.tracks_per_cylinder * self.sector_size)
-            if offset < zone_bytes:
-                per_cyl = (zone.sectors_per_track
-                           * self.tracks_per_cylinder * self.sector_size)
-                return zone.first_cylinder + offset // per_cyl
-            offset -= zone_bytes
-        raise ValueError(
-            f"block {block} (size {block_size}) beyond disk capacity"
-        )
+        ends: tuple[int, ...] = self._zone_byte_ends  # type: ignore[attr-defined]
+        zone = bisect_right(ends, offset)
+        if zone == len(ends):
+            raise ValueError(
+                f"block {block} (size {block_size}) beyond disk capacity"
+            )
+        starts: tuple[int, ...] = self._zone_byte_starts  # type: ignore[attr-defined]
+        per_cyl: tuple[int, ...] = self._zone_per_cyl  # type: ignore[attr-defined]
+        return (self._zone_starts[zone]
+                + (offset - starts[zone]) // per_cyl[zone])
 
     def block_cylinders(self, blocks: np.ndarray, block_size: int) -> np.ndarray:
         """Vectorized :meth:`block_cylinder` over an int64 block array.
 
-        Same integer arithmetic as the scalar walk — the zone table is
-        kept as cumulative byte boundaries so a single ``searchsorted``
-        replaces the per-block zone scan.
+        Same table and integer arithmetic as the scalar bisection, one
+        ``searchsorted`` for the whole array.
         """
         blocks = np.asarray(blocks, dtype=np.int64)
         if blocks.size and int(blocks.min()) < 0:
             raise ValueError("block must be non-negative")
         offsets = blocks * block_size
-        ends: np.ndarray = self._zone_byte_ends  # type: ignore[attr-defined]
+        ends = np.array(self._zone_byte_ends,  # type: ignore[attr-defined]
+                        dtype=np.int64)
         zone = np.searchsorted(ends, offsets, side="right")
         if blocks.size and int(zone.max()) >= len(ends):
             bad = int(blocks[zone >= len(ends)][0])
             raise ValueError(
                 f"block {bad} (size {block_size}) beyond disk capacity"
             )
-        starts: np.ndarray = self._zone_byte_starts  # type: ignore[attr-defined]
-        per_cyl: np.ndarray = self._zone_per_cyl  # type: ignore[attr-defined]
-        first: np.ndarray = self._zone_first  # type: ignore[attr-defined]
+        starts = np.array(self._zone_byte_starts,  # type: ignore[attr-defined]
+                          dtype=np.int64)
+        per_cyl = np.array(self._zone_per_cyl,  # type: ignore[attr-defined]
+                           dtype=np.int64)
+        first = np.array(self._zone_starts, dtype=np.int64)
         return first[zone] + (offsets - starts[zone]) // per_cyl[zone]
 
     def _check_cylinder(self, cylinder: int) -> None:

@@ -792,9 +792,8 @@ def _pr6_serving_scan():
     makes the cluster-demo gate a real before/after of the serving hot
     path on otherwise identical code.  The scan ignores the due-heap
     entirely, so the heap the current ``open`` still pushes onto is
-    inert; issue order (and therefore request ids) is unchanged.  Only
-    valid with ``engine="legacy"`` servers -- the batched serving
-    spans read the heap this scan leaves stale.
+    inert; issue order (and therefore request ids) is unchanged.  The
+    demo gate pairs it with ``engine="legacy"`` servers.
     """
     from repro.serve.session import SessionManager
 
@@ -921,10 +920,8 @@ def bench_cluster_scale(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
 
     def run_demo(incremental: bool):
         # The serving engine is pinned per arm: the PR 6 path is the
-        # legacy event loop (the batched serving tier postdates it,
-        # and the full-scan poll patched in below bypasses the due
-        # heap the batched spans read), the current path is the
-        # batched engine.
+        # legacy event loop (the batched serving tier postdates it),
+        # the current path is the batched engine.
         engine = "batched" if incremental else "legacy"
         controller = ClusterController(make_config(demo_spec),
                                        demo_plans,
@@ -980,7 +977,7 @@ def _pr8_fleet_seconds() -> float | None:
 
 
 def bench_serve(spec: BenchSpec) -> tuple[dict, dict[str, bool]]:
-    """Serving tier: the batched SoA epoch loop vs the legacy oracle.
+    """Serving tier: the batched serving loop vs the legacy oracle.
 
     * **ramp** -- a dense always-admit overload ramp (arrivals every
       few milliseconds, every stream admitted, queue bound forcing

@@ -17,20 +17,24 @@ Every decision lands in a :class:`~repro.serve.trace.TraceLog`, and
 all timing/miss accounting reuses
 :class:`~repro.sim.metrics.MetricsCollector`, so the online QoS
 numbers reconcile exactly with the offline simulator's.
+
+Two engines drive the loop.  The default ``"batched"`` engine is one
+tight event loop (:meth:`StreamingServer._serve`) with O(levels)
+inversion ledgers and a lazy shed-victim heap; a live observer,
+faults, degrade mode, re-keying and backpressure are tests inside
+it, never a different path.  ``"legacy"`` steps one event at a time
+through :meth:`StreamingServer._process` with O(queue) scans and is
+the differential oracle: both engines produce byte-identical traces.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.batch import characterize_batch
-from repro.core.encapsulator import EncodeContext
 from repro.core.request import DiskRequest
-from repro.core.scheduler import CascadedSFCScheduler
 from repro.faults import FaultInjector
 from repro.obs.observer import Observer, live
 from repro.obs.profile import instrumented
@@ -50,21 +54,6 @@ from .clock import Clock, VirtualClock
 from .session import SessionManager, StreamSession, StreamSpec
 from .stats import QoSReporter, ServerStats, StreamQoSTracker
 from .trace import TraceLog
-
-#: Span size from which one whole-epoch :func:`characterize_batch`
-#: beats per-request scalar submits (the batch call has a fixed cost
-#: of roughly a dozen scalar characterizations).
-_SPAN_BATCH_MIN = 16
-#: Engine demotion: every ``_SPAN_DEMOTE_WINDOW`` spans the batched
-#: loop checks the window's mean span length; below
-#: ``_SPAN_DEMOTE_AVG`` requests per span the epoch machinery costs
-#: more than the legacy step it replaces (degenerate spans: sparse
-#: low-rate sessions, a mostly idle disk), so the server drops to the
-#: legacy loop for the rest of the run.  Purely a timing decision —
-#: both loops produce bit-identical results.
-_SPAN_DEMOTE_WINDOW = 128
-_SPAN_DEMOTE_AVG = 2.0
-
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -144,10 +133,11 @@ class StreamingServer:
         self.faults = faults
         self.clock = clock if clock is not None else VirtualClock()
         self.config = config or ServerConfig()
-        #: Serving-loop engine: ``"legacy"`` steps one event at a
-        #: time; ``"batched"`` admits arrival spans between event
-        #: barriers through the SoA session plans (bit-identical
-        #: traces — the legacy loop is the differential oracle).
+        #: Serving-loop engine: ``"batched"`` runs the fused event
+        #: loop :meth:`_serve`; ``"legacy"`` steps through
+        #: :meth:`_next_event_ms` and :meth:`_process` with O(queue)
+        #: scans, and is the differential oracle (bit-identical
+        #: traces).
         self.engine = resolve_engine(engine)
         self._batched = self.engine == "batched"
         #: Per-dimension level occupancy of the waiting set, replacing
@@ -160,9 +150,6 @@ class StreamingServer:
             tuple[tuple[int, ...], float, int, DiskRequest]] = []
         #: Ids currently inside the scheduler queue (batched only).
         self._queued_ids: set[int] = set()
-        #: Span-amortization counters driving engine demotion.
-        self._span_window_count = 0
-        self._span_window_requests = 0
         self.reporter = reporter
         self.trace = TraceLog(capacity=self.config.trace_capacity)
         self.metrics = MetricsCollector(self.config.priority_dims,
@@ -309,7 +296,7 @@ class StreamingServer:
     def run_until(self, until_ms: float) -> None:
         """Advance the clock to ``until_ms``, serving everything due."""
         if self._batched:
-            return self._run_until_batched(until_ms)
+            return self._serve(until_ms)
         while True:
             t = self._next_event_ms(until_ms)
             if t is None:
@@ -318,150 +305,146 @@ class StreamingServer:
             self._process(max(t, self.clock.now_ms()))
         self.clock.sleep_until(until_ms)
 
-    def _run_until_batched(self, until_ms: float) -> None:
-        """The epoch-driven loop of the batched serving engine.
+    def _serve(self, until_ms: float, *, drain: bool = False) -> None:
+        """The batched engine: one event loop over local names.
 
-        While the disk is busy, every instant strictly before the next
-        event barrier (completion, retry, report, degrade-exit, re-key)
-        is a pure arrival: no completion can fire, nothing dispatches,
-        no trace event other than shed/retire can occur.  Those
-        arrivals are taken from the session plans as one bulk span
-        (:meth:`SessionManager.poll_span`), characterized in one
-        batch, and inserted group-by-group so shedding and retirement
-        still happen at their exact legacy instants.  Everything at or
-        past the barrier falls through to the legacy single-event step,
-        which is why the two engines trace byte-identically.
-
-        Workloads whose spans degenerate to a request or two (sparse
-        low-rate sessions, a mostly idle disk) pay the epoch overhead
-        for nothing, so the loop watches the windowed mean span length
-        and demotes itself to the legacy loop when it stays under
-        ``_SPAN_DEMOTE_AVG`` — results are identical either way, only
-        the wall clock moves.
+        :meth:`_next_event_ms` and :meth:`_process` fused.  The next
+        instant is the first minimum over the same candidates in the
+        same order, taken by direct comparisons, and ``now = max(t,
+        clock)``, so int and float instants keep their trace reprs.
+        Each instant then runs the legacy steps in the legacy order;
+        faults and retries, degrade mode, re-keying, the reporter, a
+        live observer and ``shed_policy="none"`` are tests on locals
+        that call the shared helpers.  Priority inversions come from
+        the per-level ledger and shed victims from the lazy max-heap,
+        so no step scans the queue.  ``drain`` is :meth:`quiesce`: stop
+        once no work is left, leaving the clock at the last event.
         """
-        legacy_only = (self.obs is not None
-                       or self.config.shed_policy != "lowest-priority"
-                       or not isinstance(self.clock, VirtualClock))
-        while True:
-            due = self.manager.next_due_ms()
-            # Strictly-future dues only: an arrival due exactly *now*
-            # is processed by the legacy step at the clock's current
-            # value (whose int-ness the trace repr preserves).
-            if (due is not None and not legacy_only and self._batched
-                    and self._busy is not None
-                    and due > self.clock.now_ms()):
-                barrier = self._span_barrier_ms(until_ms)
-                if due < barrier:
-                    self._admit_span(due, barrier)
-                    continue
-            t = self._next_event_ms(until_ms)
-            if t is None:
-                break
-            self.clock.sleep_until(t)
-            self._process(max(t, self.clock.now_ms()))
-        self.clock.sleep_until(until_ms)
-
-    def _span_barrier_ms(self, until_ms: float) -> float:
-        """Earliest instant the span must stop *before*.
-
-        The same candidates :meth:`_next_event_ms` wakes up for,
-        folded into one bound; session dues strictly below it are pure
-        arrivals.  Conservative (a tighter barrier just shortens the
-        span — the next loop iteration picks up the rest).
-        """
-        assert self._busy is not None
-        now = self.clock.now_ms()
-        barrier = min(until_ms, self._busy[1])
-        if self.reporter is not None:
-            barrier = min(barrier, self.reporter.next_due_ms)
-        if self._retry_due:
-            barrier = min(barrier, max(self._retry_due[0][0], now))
-        if self.degraded and self._fault_times:
-            barrier = min(
-                barrier,
-                self._fault_times[0] + self.config.degrade_window_ms,
-            )
-        if self._recharacterize_due is not None:
-            barrier = min(barrier, max(self._recharacterize_due, now))
-        return barrier
-
-    def _admit_span(self, first_due: float, barrier: float) -> None:
-        """Admit every session arrival strictly before ``barrier``."""
         config = self.config
-        if self._can_recharacterize and self._recharacterize_due is None:
-            # The periodic re-key arms at the first group instant;
-            # folding its due into the barrier up front keeps the
-            # armed timer outside the span.
-            barrier = min(barrier, first_due + config.recharacterize_ms)
-        requests, dues, exhausted = self.manager.poll_span(barrier)
-        self._span_window_count += 1
-        self._span_window_requests += len(requests)
-        if self._span_window_count >= _SPAN_DEMOTE_WINDOW:
-            if (self._span_window_requests
-                    < _SPAN_DEMOTE_AVG * self._span_window_count):
-                self._batched = False  # spans don't amortize here
-            self._span_window_count = 0
-            self._span_window_requests = 0
+        now_ms, sleep_until = self.clock.now_ms, self.clock.sleep_until
+        manager = self.manager
+        next_due_ms, poll = manager.next_due_ms, manager.poll
+        retire_exhausted = manager.retire_exhausted
         scheduler = self.scheduler
-        head = self.service.head_cylinder
-        keys: list[float] | None = None
-        if (isinstance(scheduler, CascadedSFCScheduler)
-                and len(requests) >= _SPAN_BATCH_MIN):
-            # One characterize_batch for the whole epoch; insertion
-            # happens per instant group below with the precomputed
-            # keys (head position cannot move inside the span).  Short
-            # spans stay on the scalar submit path — the batch call's
-            # fixed cost would dominate them.
-            ctx = EncodeContext(now_ms=dues[-1], head_cylinder=head)
-            keys = characterize_batch(
-                scheduler.encapsulator, requests, ctx,
-                nows=np.asarray(dues, dtype=np.float64),
-            ).tolist()
-            insert = scheduler.dispatcher.insert
-        qos = self._qos
+        submit = scheduler.submit
+        service = self.service
+        qos_get = self._qos.get
+        obs = self.obs
+        reporter = self.reporter
+        faults = self.faults
+        retry_due = self._retry_due
+        fault_times = self._fault_times
+        window_ms = config.degrade_window_ms
+        shed_pending = self._shed_pending
         max_queue = config.max_queue
-        exhaust_i = 0
-        n = len(requests)
-        i = 0
-        while i < n:
-            t = dues[i]
-            j = i + 1
-            while j < n and dues[j] == t:
-                j += 1
-            group = requests[i:j]
-            if keys is not None:
-                for request, vc in zip(group, keys[i:j]):
-                    insert(request, vc)
-            else:
-                submit = scheduler.submit
-                for request in group:
-                    submit(request, t, head)
-            for request in group:
-                tracker = qos.get(request.stream_id)
-                if tracker is not None:
-                    tracker.on_issue()
-                self._note_queued(request)
-            if self.queue_length() > max_queue:
-                self._shed_batched(t)
-            while (exhaust_i < len(exhausted)
-                   and exhausted[exhaust_i][0] <= t):
-                session = exhausted[exhaust_i][1]
-                self.manager.retire(session, t)
-                self._retire(session, t)
-                exhaust_i += 1
-            i = j
-        if self._can_recharacterize and self._recharacterize_due is None:
-            # Queue is non-empty from the first group on, so the
-            # legacy loop would have armed the timer there.
-            self._recharacterize_due = first_due + config.recharacterize_ms
-        self.clock.sleep_until(dues[-1])
+        shed = config.shed_policy == "lowest-priority"
+        rekey_ms = (config.recharacterize_ms
+                    if self._can_recharacterize else None)
+        note_queued = self._note_queued
+        queued_ids = self._queued_ids
+        shed_heap = self._shed_heap
+        heappop = heapq.heappop
+        never = math.inf
+        while True:
+            now = now_ms()
+            busy = self._busy
+            due = next_due_ms()
+            queued = len(scheduler) - len(shed_pending)
+            if drain and (busy is None and queued <= 0 and not retry_due
+                          and due is None):
+                return
+            t = never if busy is None else busy[1]
+            if reporter is not None and reporter.next_due_ms < t:
+                t = reporter.next_due_ms
+            if retry_due:
+                c = retry_due[0][0]
+                if now > c:
+                    c = now
+                if c < t:
+                    t = c
+            if self.degraded and fault_times:
+                c = fault_times[0] + window_ms
+                if c < t:
+                    t = c
+            c = self._recharacterize_due
+            if c is not None and queued > 0:
+                if now > c:
+                    c = now
+                if c < t:
+                    t = c
+            if due is not None:
+                if due > now:
+                    if due < t:
+                        t = due
+                elif (shed or queued < max_queue) and now < t:
+                    t = now  # deferred (backpressured) work fits now
+            if t > until_ms or t == never:
+                break
+            sleep_until(t)
+            now = now_ms()
+            if not now > t:
+                now = t
+
+            if busy is not None and busy[1] <= now:
+                self._complete()
+            if retry_due and retry_due[0][0] <= now:
+                self._requeue_retries(now)
+                queued = len(scheduler) - len(shed_pending)
+            if faults is not None:
+                self._update_degrade(now)
+            if shed or queued < max_queue:
+                if due is not None and due <= now:
+                    head = service.head_cylinder
+                    for request in poll(now, None if shed
+                                        else max_queue - queued):
+                        tracker = qos_get(request.stream_id)
+                        if tracker is not None:
+                            tracker.on_issue()
+                        if obs is not None:
+                            obs.on_arrival(request, now)
+                        submit(request, now, head)
+                        note_queued(request)
+                        if obs is not None:
+                            obs.ensure_enqueued(request, now)
+                    queued = len(scheduler) - len(shed_pending)
+                if obs is not None:
+                    obs.on_queue_depth(now, queued)
+                # Shed the excess off the lazy victim max-heap: entries
+                # of popped or already-shed requests are stale and
+                # skipped; the survivors surface in the order of the
+                # legacy scan's (priorities, deadline, request_id) maxima.
+                while shed and queued > max_queue and shed_heap:
+                    victim = heappop(shed_heap)[3]
+                    rid = victim.request_id
+                    if rid in queued_ids and rid not in shed_pending:
+                        self._shed_one(victim, now)
+                        queued -= 1
+            if rekey_ms is not None:
+                self._recharacterize(now)
+            if self._busy is None:
+                self._dispatch(now)
+            for session in retire_exhausted(now):
+                self._retire(session, now)
+            if rekey_ms is not None:
+                # (Re-)arm only while work is queued: an idle server
+                # generates no wake-ups.
+                if len(scheduler) == len(shed_pending):
+                    self._recharacterize_due = None
+                elif self._recharacterize_due is None:
+                    self._recharacterize_due = now + rekey_ms
+            if reporter is not None and reporter.due(now):
+                reporter.report(self.stats())
+                self.trace.record(now, "report",
+                                  detail=f"#{reporter.reports}")
+        if not drain:
+            sleep_until(until_ms)
 
     def _note_queued(self, request: DiskRequest) -> None:
         """Batched-engine bookkeeping for a request entering the queue."""
         self._ledger.add(request.priorities)  # type: ignore[union-attr]
         self._queued_ids.add(request.request_id)
         heapq.heappush(self._shed_heap, (
-            tuple(-p for p in request.priorities),
+            tuple(map(operator.neg, request.priorities)),
             -request.deadline_ms, -request.request_id, request,
         ))
 
@@ -486,6 +469,8 @@ class StreamingServer:
                     f"stream {session.stream_id} is open-ended; "
                     "close it before quiescing"
                 )
+        if self._batched:
+            return self._serve(math.inf, drain=True)
         while (self._busy is not None or self.queue_length() > 0
                or self._retry_due
                or self.manager.next_due_ms() is not None):
@@ -568,8 +553,6 @@ class StreamingServer:
                 obs.on_arrival(request, now)
             self.scheduler.submit(request, now,
                                   self.service.head_cylinder)
-            if self._batched:
-                self._note_queued(request)
             if obs is not None:
                 obs.ensure_enqueued(request, now)
         if obs is not None:
@@ -599,10 +582,6 @@ class StreamingServer:
         request ids are unique — and evicting the running maximum
         never changes the remaining order).
         """
-        if self._batched:
-            if self.queue_length() > self.config.max_queue:
-                self._shed_batched(now)
-            return
         excess = self.queue_length() - self.config.max_queue
         if excess <= 0:
             return
@@ -614,26 +593,6 @@ class StreamingServer:
         )
         for victim in victims:
             self._shed_one(victim, now)
-
-    def _shed_batched(self, now: float) -> None:
-        """Shed via the lazy victim max-heap (batched engine).
-
-        Heap entries go stale when their request is popped or already
-        shed; they are discarded on surfacing.  The surviving top is
-        the same ``(priorities, deadline, request_id)`` maximum the
-        legacy scan takes, in the same order.
-        """
-        excess = self.queue_length() - self.config.max_queue
-        heap = self._shed_heap
-        queued = self._queued_ids
-        shed = self._shed_pending
-        while excess > 0 and heap:
-            victim = heapq.heappop(heap)[3]
-            rid = victim.request_id
-            if rid not in queued or rid in shed:
-                continue  # stale entry
-            self._shed_one(victim, now)
-            excess -= 1
 
     def _shed_one(self, victim: DiskRequest, now: float) -> None:
         """Count one queued request as shed (it drains as a zombie)."""

@@ -13,7 +13,9 @@ the same population can be replayed through the offline simulator
 Determinism contract: a session draws its per-request deadlines from a
 private RNG stream keyed by ``(seed, stream_id)`` in issue order, so
 polling a session live and materializing it offline produce identical
-requests.
+requests.  Sessions issue one request at a time, on demand; each keeps
+its next due instant as a plain attribute, which the manager's lazy
+``(due, stream_id)`` heap compares against to spot stale entries.
 """
 
 from __future__ import annotations
@@ -23,23 +25,11 @@ from dataclasses import dataclass, replace
 from random import Random
 from typing import Iterator
 
-import numpy as np
-
 from repro.core.request import DiskRequest
 from repro.disk.disk import FILE_BLOCK_BYTES
 from repro.disk.geometry import DiskGeometry
 from repro.sim.rng import derive
-from repro.sim.soa import ServeColumns
 from repro.workloads.multimedia import stream_period_ms
-
-#: Issues planned ahead per :meth:`StreamSession.ensure_plan` chunk.
-PLAN_CHUNK = 128
-#: First plan chunk of a session; later chunks quadruple up to
-#: :data:`PLAN_CHUNK`.  Most of a plan's cost is its per-request
-#: deadline RNG draws, so a short-lived stream (a bounded title, or a
-#: low-rate fleet session that issues one or two blocks) must not pay
-#: for 128 of them up front.
-PLAN_CHUNK_FIRST = 8
 
 
 @dataclass(frozen=True)
@@ -137,42 +127,28 @@ class StreamSession:
         self.closed_ms: float | None = None
         self._geometry = geometry
         self._rng = rng
-        self._index = 0
         self._max_block = geometry.capacity_bytes // spec.block_bytes - 1
         #: Cached block period; the spec fields it derives from
         #: (rate, block size) never change over a session's life
         #: (priority downgrades replace only the QoS vector).
         self.period_ms = spec.period_ms
-        #: Requests issued so far (monotone; equals polled count).
+        #: Requests issued so far (monotone; equals polled count), which
+        #: is also the index of the next block.
         self.issued = 0
-        #: Precomputed upcoming issues (:class:`ServeColumns`), shared
-        #: by the scalar :meth:`issue` and the bulk span path so the
-        #: session's RNG stream is consumed exactly once per index.
-        self._plan: ServeColumns | None = None
-        # Scalar mirrors of the plan columns (``tolist`` once per
-        # chunk): consumption is per-request, and indexing Python
-        # lists hands back Python floats/ints directly.
-        self._plan_due: list[float] = []
-        self._plan_deadline: list[float] = []
-        self._plan_cylinder: list[int] = []
-        self._plan_chunk = PLAN_CHUNK_FIRST
+        #: Arrival instant of the next block, or None once exhausted.
+        #: Stored rather than derived per read: the manager's due heap
+        #: checks it on every peek.  Block 0 uses the same expression as
+        #: every later block, so an int open instant still yields a float.
+        self.next_due_ms: float | None = opened_ms + 0 * self.period_ms
 
     @property
     def exhausted(self) -> bool:
         """True once the title has been fully issued or the session closed."""
-        if self.closed_ms is not None:
-            return True
-        return self.spec.blocks is not None and self._index >= self.spec.blocks
-
-    @property
-    def next_due_ms(self) -> float | None:
-        """Arrival instant of the next block, or None when exhausted."""
-        if self.exhausted:
-            return None
-        return self.opened_ms + self._index * self.period_ms
+        return self.next_due_ms is None
 
     def close(self, now_ms: float) -> None:
         self.closed_ms = now_ms
+        self.next_due_ms = None
 
     def issue(self, request_id: int) -> DiskRequest:
         """Build the next due request (advances the session)."""
@@ -180,29 +156,7 @@ class StreamSession:
         if due is None:
             raise RuntimeError(f"stream {self.stream_id} is exhausted")
         spec = self.spec
-        plan = self._plan
-        if plan is not None:
-            i = self._index - plan.start_index
-            if 0 <= i < len(plan):
-                # Deadline/cylinder precomputed (the RNG draw for this
-                # index was consumed at plan time); priorities read
-                # fresh so an admission downgrade still lands.
-                request = DiskRequest(
-                    request_id=request_id,
-                    arrival_ms=due,
-                    cylinder=self._plan_cylinder[i],
-                    nbytes=spec.block_bytes,
-                    deadline_ms=self._plan_deadline[i],
-                    priorities=spec.priorities,
-                    value=spec.value,
-                    stream_id=self.stream_id,
-                    is_write=spec.is_write,
-                )
-                self._index += 1
-                self.issued += 1
-                return request
-            self._plan = None
-        block = spec.start_block + self._index
+        block = spec.start_block + self.issued
         if spec.blocks is None:
             block %= self._max_block + 1  # live stream: wrap the disk
         else:
@@ -219,117 +173,11 @@ class StreamSession:
             stream_id=self.stream_id,
             is_write=spec.is_write,
         )
-        self._index += 1
-        self.issued += 1
+        self.issued = index = self.issued + 1
+        self.next_due_ms = (
+            None if spec.blocks is not None and index >= spec.blocks
+            else self.opened_ms + index * self.period_ms)
         return request
-
-    def plan_remaining(self) -> int:
-        """Planned issues not yet consumed."""
-        plan = self._plan
-        if plan is None:
-            return 0
-        return max(0, plan.end_index - self._index)
-
-    def ensure_plan(self, chunk: int | None = None) -> None:
-        """Guarantee at least one planned issue (chunked ahead).
-
-        Element-for-element the scalar :meth:`issue` arithmetic: dues
-        by one float64 multiply-add, blocks wrapped (live) or clamped
-        (bounded), cylinders via the vectorized zone table, deadline
-        draws taken from the session RNG in issue order.  Chunks grow
-        geometrically (:data:`PLAN_CHUNK_FIRST` quadrupling to
-        :data:`PLAN_CHUNK`), so sessions that issue little plan
-        little; plan size never affects results, only timing.
-        """
-        if self.exhausted or self.plan_remaining() > 0:
-            return
-        spec = self.spec
-        if chunk is None:
-            chunk = self._plan_chunk
-            self._plan_chunk = min(PLAN_CHUNK, chunk * 4)
-        count = chunk
-        if spec.blocks is not None:
-            count = min(count, spec.blocks - self._index)
-        idx = np.arange(self._index, self._index + count, dtype=np.int64)
-        due = self.opened_ms + idx.astype(np.float64) * spec.period_ms
-        blocks = spec.start_block + idx
-        if spec.blocks is None:
-            blocks %= self._max_block + 1  # live stream: wrap the disk
-        else:
-            blocks = np.minimum(blocks, self._max_block)
-        lo, hi = spec.deadline_range_ms
-        uniform = self._rng.uniform
-        draws = np.array([uniform(lo, hi) for _ in range(count)],
-                         dtype=np.float64)
-        self._plan = ServeColumns(
-            stream_id=self.stream_id,
-            start_index=self._index,
-            due_ms=due,
-            deadline_ms=due + draws,
-            cylinder=self._geometry.block_cylinders(blocks, spec.block_bytes),
-        )
-        self._plan_due = self._plan.due_ms.tolist()
-        self._plan_deadline = self._plan.deadline_ms.tolist()
-        self._plan_cylinder = self._plan.cylinder.tolist()
-
-    def planned_due_before(self, bound_ms: float) -> int:
-        """Planned issues due strictly before ``bound_ms`` (at least 1).
-
-        Only meaningful right after :meth:`ensure_plan` when the head
-        due is known to precede ``bound_ms`` — the head is always
-        taken (even when exactly *at* the bound: the span loop popped
-        it as the global minimum).  A short forward walk over the
-        scalar due mirror; runs are bounded by the next session's due,
-        so they are usually far shorter than the plan chunk.
-        """
-        plan = self._plan
-        assert plan is not None
-        offset = self._index - plan.start_index
-        dues = self._plan_due
-        n = len(dues)
-        count = offset + 1
-        while count < n and dues[count] < bound_ms:
-            count += 1
-        return count - offset
-
-    def take_planned(self, count: int, first_id: int,
-                     out_requests: list[DiskRequest],
-                     out_dues: list[float]) -> None:
-        """Issue ``count`` planned requests, appending to the out lists.
-
-        Identical rows to ``count`` scalar :meth:`issue` calls with
-        consecutive ids from ``first_id`` — the columns were already
-        mirrored to Python lists at plan time, so this is a tight
-        scalar loop with no numpy round trips.
-        """
-        plan = self._plan
-        assert plan is not None
-        offset = self._index - plan.start_index
-        spec = self.spec
-        dues = self._plan_due
-        deadlines = self._plan_deadline
-        cylinders = self._plan_cylinder
-        stream_id = self.stream_id
-        nbytes = spec.block_bytes
-        priorities = spec.priorities
-        value = spec.value
-        is_write = spec.is_write
-        for i in range(offset, offset + count):
-            out_requests.append(DiskRequest(
-                request_id=first_id,
-                arrival_ms=dues[i],
-                cylinder=cylinders[i],
-                nbytes=nbytes,
-                deadline_ms=deadlines[i],
-                priorities=priorities,
-                value=value,
-                stream_id=stream_id,
-                is_write=is_write,
-            ))
-            first_id += 1
-        out_dues.extend(dues[offset:offset + count])
-        self._index += count
-        self.issued += count
 
 
 class SessionManager:
@@ -398,7 +246,7 @@ class SessionManager:
     def retire(self, session: StreamSession, now_ms: float) -> None:
         """Move one finished session into ``closed``."""
         self.sessions.pop(session.stream_id, None)
-        session.closed_ms = now_ms
+        session.close(now_ms)
         self.closed[session.stream_id] = session
 
     def retire_exhausted(self, now_ms: float) -> list[StreamSession]:
@@ -422,21 +270,21 @@ class SessionManager:
         self._retire_pending.clear()
         return done
 
-    def _peek_due(self) -> tuple[float, StreamSession] | None:
-        """The valid heap minimum, discarding stale entries."""
+    def next_due_ms(self) -> float | None:
+        """Earliest pending block instant across all sessions.
+
+        Discards stale heap entries on the way: an entry is current
+        only while it matches its live session's stored due.
+        """
         heap = self._due_heap
+        sessions = self.sessions
         while heap:
             due, stream_id = heap[0]
-            session = self.sessions.get(stream_id)
+            session = sessions.get(stream_id)
             if session is not None and session.next_due_ms == due:
-                return due, session
+                return due
             heapq.heappop(heap)  # closed, retired, or already issued
         return None
-
-    def next_due_ms(self) -> float | None:
-        """Earliest pending block instant across all sessions."""
-        head = self._peek_due()
-        return head[0] if head is not None else None
 
     def poll(self, now_ms: float, limit: int | None = None
              ) -> list[DiskRequest]:
@@ -451,12 +299,16 @@ class SessionManager:
         """
         out: list[DiskRequest] = []
         heap = self._due_heap
-        while limit is None or len(out) < limit:
-            head = self._peek_due()
-            if head is None or head[0] > now_ms:
+        sessions = self.sessions
+        while heap and (limit is None or len(out) < limit):
+            # The heap top bounds every current entry, stale or not.
+            due, stream_id = heap[0]
+            if due > now_ms:
                 break
-            session = head[1]
             heapq.heappop(heap)
+            session = sessions.get(stream_id)
+            if session is None or session.next_due_ms != due:
+                continue  # closed, retired, or already issued
             out.append(session.issue(self._next_request_id))
             self._next_request_id += 1
             due = session.next_due_ms
@@ -465,53 +317,6 @@ class SessionManager:
             else:
                 self._retire_pending.append(session)
         return out
-
-    def poll_span(self, before_ms: float) -> tuple[
-            list[DiskRequest], list[float],
-            list[tuple[float, "StreamSession"]]]:
-        """Issue every request due strictly *before* ``before_ms``, bulk.
-
-        The batched serving loop's admission path: sessions are popped
-        from the due heap as in :meth:`poll`, but instead of one issue
-        per pop, the popped session bulk-takes its whole run of
-        arrivals up to the *next* session's due instant (one
-        ``np.searchsorted`` over its
-        :class:`~repro.sim.soa.ServeColumns` plan).  A run is bounded
-        by ``min(before_ms, next head due)`` with ties excluded, so
-        equal-due arrivals still go through the heap and come out in
-        the same global ``(due instant, stream id)`` order :meth:`poll`
-        pops one at a time — request ids and order are bit-identical,
-        with no merge step.
-
-        Returns ``(requests, dues, exhausted)``: the issued requests,
-        a parallel list of their due instants (Python floats,
-        non-decreasing), and ``(last_due, session)`` for every bounded
-        title that finished inside the span, in ``(last_due,
-        stream_id)`` order — the order the legacy loop retires them in
-        (last issues come out in global order, so no sort is needed).
-        """
-        heap = self._due_heap
-        requests: list[DiskRequest] = []
-        dues_out: list[float] = []
-        exhausted: list[tuple[float, StreamSession]] = []
-        while True:
-            head = self._peek_due()
-            if head is None or head[0] >= before_ms:
-                break
-            session = head[1]
-            heapq.heappop(heap)
-            nxt = self._peek_due()
-            bound = before_ms if nxt is None else min(before_ms, nxt[0])
-            session.ensure_plan()
-            count = session.planned_due_before(bound)
-            session.take_planned(count, self._next_request_id,
-                                 requests, dues_out)
-            self._next_request_id += count
-            if session.exhausted:
-                exhausted.append((dues_out[-1], session))
-                continue
-            heapq.heappush(heap, (session.next_due_ms, session.stream_id))
-        return requests, dues_out, exhausted
 
     def materialize(self, until_ms: float) -> list[DiskRequest]:
         """Issue every request due in ``[now, until_ms]`` as one batch.

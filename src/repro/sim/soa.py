@@ -1,12 +1,11 @@
 """Structure-of-arrays request columns for the batched engine.
 
 The legacy engine walks one Python object per request; the batched
-engine (:mod:`repro.sim.batched`) keeps the whole workload as numpy
-columns -- arrival, cylinder (the "sector" axis of the disk model),
-deadline, stream id, per-dimension priorities and the precomputed SFC
-key when the scheduler admits one.  Its event loop reads the arrival
-and key columns as Python lists (one ``tolist()`` each) and ranks the
-priority matrix for its inversion ledger.
+engine (:mod:`repro.sim.batched`) keeps the columns its event loop
+reads as numpy arrays -- arrival, per-dimension priorities and the
+precomputed SFC key when the scheduler admits one.  The loop reads the
+arrival and key columns as Python lists (one ``tolist()`` each) and
+ranks the priority matrix for its inversion ledger.
 
 The columns never replace the :class:`~repro.core.request.DiskRequest`
 objects (schedulers and metrics still receive the originals, so every
@@ -31,9 +30,6 @@ class RequestColumns:
     #: Arrival clamped to >= 0 -- the instant the legacy engine fires
     #: the arrival event (``max(arrival_ms, 0.0)``), non-decreasing.
     arrival_ms: np.ndarray
-    deadline_ms: np.ndarray
-    cylinder: np.ndarray
-    stream_id: np.ndarray
     #: ``(n, dims)`` int64 matrix of the priority vectors.
     priorities: np.ndarray
     #: Precomputed whole-run v_c (float64), or None when the scheduler
@@ -48,11 +44,6 @@ class RequestColumns:
             requests=tuple(ordered),
             arrival_ms=np.fromiter(
                 (max(r.arrival_ms, 0.0) for r in ordered), np.float64, n),
-            deadline_ms=np.fromiter(
-                (r.deadline_ms for r in ordered), np.float64, n),
-            cylinder=np.fromiter((r.cylinder for r in ordered), np.int64, n),
-            stream_id=np.fromiter(
-                (r.stream_id for r in ordered), np.int64, n),
             priorities=np.array([r.priorities for r in ordered],
                                 dtype=np.int64).reshape(n, dims),
         )
@@ -168,42 +159,6 @@ class InversionLedger:
         """
         return [sum(counts[:ranks[index]])
                 for counts, ranks in self._tables]
-
-
-@dataclass
-class ServeColumns:
-    """A session's upcoming arrivals, precomputed as SoA spans.
-
-    Each :class:`repro.serve.session.StreamSession` issues an arithmetic
-    arrival sequence — ``due = opened + index * period`` — with a block
-    walk and one RNG deadline draw per request.  The batched serving
-    loop plans a chunk of that sequence ahead of time as three parallel
-    columns (due, deadline, cylinder), indexed by the session's issue
-    counter, so the epoch admission path can count and take due spans
-    with ``np.searchsorted`` instead of per-request heap churn.
-
-    The arithmetic is element-for-element the scalar path's: dues via
-    one float64 multiply-add, deadlines by adding the session RNG's
-    draws (consumed in issue order at plan time) to the dues, cylinders
-    through :meth:`repro.disk.geometry.DiskGeometry.block_cylinders`.
-    A plan therefore never changes observable behaviour, only when the
-    work happens — the legacy ``issue()`` consumes from the same plan.
-    """
-
-    stream_id: int
-    #: Issue index of row 0; row ``i`` is issue ``start_index + i``.
-    start_index: int
-    due_ms: np.ndarray
-    deadline_ms: np.ndarray
-    cylinder: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.due_ms)
-
-    @property
-    def end_index(self) -> int:
-        """One past the last planned issue index."""
-        return self.start_index + len(self.due_ms)
 
 
 class ServeInversionLedger:

@@ -26,6 +26,14 @@ class TestDiskRequest:
         with pytest.raises(ValueError):
             make_request(priorities=(0, -2))
 
+    @pytest.mark.parametrize("arrival", (math.nan, math.inf, -math.inf))
+    def test_rejects_non_finite_arrival(self, arrival):
+        """A NaN arrival compares false both ways, so the legacy heap
+        and the batched engine's bisection would serve such a request
+        in different orders; no engine may be handed one."""
+        with pytest.raises(ValueError, match="arrival_ms must be finite"):
+            make_request(arrival_ms=arrival)
+
     def test_relative_deadline(self):
         r = make_request(arrival_ms=100.0, deadline_ms=600.0)
         assert r.relative_deadline_ms == 500.0

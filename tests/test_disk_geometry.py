@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import re
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.disk.disk import make_xp32150_geometry
 from repro.disk.geometry import DiskGeometry, Zone, make_zones
 
 
@@ -134,3 +140,43 @@ class TestXP32150Geometry:
 
     def test_capacity_near_2_1_gb(self, geometry):
         assert geometry.capacity_bytes == pytest.approx(2.1e9, rel=0.01)
+
+
+def _zone_walk_cylinder(geometry: DiskGeometry, block: int,
+                        block_size: int) -> int:
+    """Reference block-to-cylinder map: the per-zone walk, zone by zone."""
+    offset = block * block_size
+    for zone in geometry.zones:
+        per_cyl = (zone.sectors_per_track * geometry.tracks_per_cylinder
+                   * geometry.sector_size)
+        if offset < zone.cylinders * per_cyl:
+            return zone.first_cylinder + offset // per_cyl
+        offset -= zone.cylinders * per_cyl
+    raise ValueError(f"block {block} (size {block_size}) beyond disk capacity")
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_size=st.integers(1, 1 << 20), data=st.data())
+def test_block_cylinder_scalar_equals_vectorized(block_size, data):
+    """The scalar bisection, the vectorized searchsorted and the zone
+    walk agree on every block, out-of-capacity errors included."""
+    geometry = make_xp32150_geometry()
+    blocks_on_disk = geometry.capacity_bytes // block_size
+    block = data.draw(st.one_of(
+        st.integers(0, blocks_on_disk + 2),
+        st.sampled_from((0, blocks_on_disk - 1, blocks_on_disk)),
+    ))
+    try:
+        expected = _zone_walk_cylinder(geometry, block, block_size)
+    except ValueError as exc:
+        message = re.escape(str(exc))
+        with pytest.raises(ValueError, match=message):
+            geometry.block_cylinder(block, block_size)
+        with pytest.raises(ValueError, match=message):
+            geometry.block_cylinders(np.array([block]), block_size)
+        return
+    scalar = geometry.block_cylinder(block, block_size)
+    assert type(scalar) is int
+    assert scalar == expected
+    assert geometry.block_cylinders(
+        np.array([block]), block_size).tolist() == [expected]

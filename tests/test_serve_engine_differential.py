@@ -1,7 +1,7 @@
 """Differential harness: the batched serving engine vs the legacy oracle.
 
-The batched serving loop (:meth:`StreamingServer._run_until_batched`)
-exists purely for speed; its correctness contract is one sentence:
+The batched serving loop (:meth:`StreamingServer._serve`) exists
+purely for speed; its correctness contract is one sentence:
 *for every accepted input, ``engine="batched"`` reproduces
 ``engine="legacy"`` bit for bit* — the serialized trace (including
 ``repr`` float formatting), every :class:`ServerStats` field, and the
@@ -16,6 +16,9 @@ serving-layer input space:
 * periodic queue re-characterization;
 * session lifecycle: bounded titles retiring mid-run, explicit closes,
   mixed rates/priorities/write flags;
+* live observers: an observed batched run matches the unobserved one
+  and records the legacy engine's span log (Section 6 ramp, and a
+  faulted ramp in degrade mode);
 * the golden serve ramp and golden cluster scenario replayed through
   the batched serving engine at ``--jobs`` 1 and 4.
 
@@ -25,6 +28,7 @@ fix the engine, never the test.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -48,6 +52,7 @@ from repro.faults import (
     RetryPolicy,
     TransientErrors,
 )
+from repro.obs import Observer
 from repro.parallel import metrics_fingerprint, run_cells, run_cluster_cell
 from repro.serve import (
     ServerConfig,
@@ -80,7 +85,8 @@ def fault_variants(seed: int) -> list[FaultPlan | None]:
 def make_server(engine: str, *, seed: int = 5, policy: str = "always",
                 scheduler: str = "cascaded-sfc",
                 fault_plan: FaultPlan | None = None,
-                config: ServerConfig | None = None) -> StreamingServer:
+                config: ServerConfig | None = None,
+                observer: Observer | None = None) -> StreamingServer:
     disk = make_xp32150_disk()
     disk.reset(0)
     kwargs = {"priority_levels": LEVELS} if policy == "reservation" else {}
@@ -96,6 +102,7 @@ def make_server(engine: str, *, seed: int = 5, policy: str = "always",
         clock=VirtualClock(),
         config=config,
         faults=faults,
+        observer=observer,
         engine=engine,
     )
 
@@ -178,8 +185,8 @@ def test_engines_identical_under_overload_shedding():
 
 
 def test_engines_identical_under_backpressure():
-    """shed_policy="none" falls back to the legacy step (deferred
-    polls change the arrival pattern) — outcomes must still match."""
+    """shed_policy="none" defers polls while the queue is full (the
+    backpressure path of the same loop) — outcomes must still match."""
     assert_engines_agree(
         users=50, interval_ms=50.0,
         config=ServerConfig(max_queue=8, shed_policy="none",
@@ -214,11 +221,54 @@ def test_engines_identical_with_closes_and_bounded_titles():
 
 
 def test_engines_identical_on_baseline_scheduler():
-    """EDF has no encapsulator: spans go through the scalar submit
-    path for any span length."""
+    """A baseline scheduler without an SFC encapsulator."""
     assert_engines_agree(users=40, interval_ms=50.0, scheduler="edf",
                          config=ServerConfig(max_queue=16,
                                              priority_levels=LEVELS))
+
+
+# -- observed runs step through the same loop -----------------------------
+
+def sorted_span_log(observer: Observer) -> list[dict]:
+    """The exported span JSONL, one parsed span per request id."""
+    spans = [json.loads(line)
+             for line in observer.spans.to_jsonl_text().splitlines()]
+    return sorted(spans, key=lambda span: span["request_id"])
+
+
+def section6_ramp(engine: str, observer: Observer | None) -> StreamingServer:
+    spec = replace(ServeSpec(), engine=engine)
+    server = build_server(spec, sink=lambda line: None, observer=observer)
+    run_ramp_online(server, ramp_events(spec), spec.until_ms)
+    return server
+
+
+def faulted_degrade_ramp(engine: str,
+                         observer: Observer | None) -> StreamingServer:
+    server = make_server(
+        engine, fault_plan=fault_variants(11)[2], observer=observer,
+        config=ServerConfig(max_queue=32, priority_levels=LEVELS,
+                            degrade_after=3, degrade_window_ms=2_000.0,
+                            degrade_victims=2))
+    drive(server, users=40, interval_ms=60.0)
+    assert server.degrade_entries > 0  # degraded mode really trips
+    return server
+
+
+@pytest.mark.parametrize("scenario", (section6_ramp, faulted_degrade_ramp))
+def test_observed_batched_run_matches_unobserved_and_legacy(scenario):
+    """A live observer does not move the batched engine off its loop:
+    the observed run traces, counts and fingerprints like the
+    unobserved one, and records the legacy engine's span log."""
+    plain = scenario("batched", None)
+    observer = Observer()
+    observed = scenario("batched", observer)
+    assert fingerprint(observed) == fingerprint(plain)
+    legacy_observer = Observer()
+    scenario("legacy", legacy_observer)
+    spans = sorted_span_log(observer)
+    assert spans  # the run really closed spans
+    assert spans == sorted_span_log(legacy_observer)
 
 
 # -- hypothesis battery ----------------------------------------------------
